@@ -765,10 +765,10 @@ let abl_supervision ~quick () =
     [ (0, true); (0, false); (1, true); (1, false); (5, true); (5, false) ]
 
 (* Live ingestion (DESIGN.md §4h): write throughput on the WAL-durable
-   path, query tail latency while the background merge domain runs,
-   and the staleness the merge cadence actually delivers.  Besides the
-   table, the numbers land in BENCH_ingest.json so regressions show up
-   in review diffs. *)
+   path of a one-shard corpus, query tail latency while the background
+   merge domain runs, and the staleness the merge cadence actually
+   delivers.  Besides the table, the numbers land in BENCH_ingest.json
+   so regressions show up in review diffs. *)
 let abl_ingest ~quick () =
   let module Server = Flexpath_server.Server in
   let module Protocol = Flexpath_server.Protocol in
@@ -779,17 +779,14 @@ let abl_ingest ~quick () =
   let dir = Filename.temp_file "flexpath_bench_ingest" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  let snap = Filename.concat dir "snap.fxe" in
-  let wal = Filename.concat dir "wal.log" in
   let merge_interval_ms = 200.0 in
   let cfg =
     {
       Server.default_config with
       Server.workers = 4;
       queue_depth = 64;
-      ingest =
-        Some { (Server.ingest_defaults ~wal) with Server.merge_interval_ms; write_lane = 8 };
-      snapshot = Some snap;
+      ingest = Some { Server.ingest_defaults with Server.merge_interval_ms; write_lane = 8 };
+      snapshot = Some (Filename.concat dir "corpus");
     }
   in
   let env =
@@ -877,9 +874,9 @@ let abl_ingest ~quick () =
           in
           let staleness = ref [] in
           let monitor () =
-            let store = Option.get (Server.ingest_store srv) in
+            let corpus = Option.get (Server.corpus srv) in
             while running () do
-              staleness := Ingest.staleness_ms store :: !staleness;
+              staleness := Flexpath.Corpus.staleness_ms corpus 0 :: !staleness;
               Unix.sleepf 0.01
             done
           in

@@ -619,17 +619,6 @@ let serve_cmd =
             "Bound on a connection's admission-queue sojourn: older entries are shed with \
              OVERLOADED retry-after-ms instead of being served.")
   in
-  let ingest_wal_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ingest-wal" ] ~docv:"PATH"
-          ~doc:
-            "Enable live ingestion: write-ahead log at $(docv) (created if absent, replayed if \
-             not).  Requires --env as the merge target; the snapshot need not exist yet — the \
-             first merge creates it.  INGEST/DELETE/MERGE become live and RELOAD is refused (the \
-             store owns the snapshot).")
-  in
   let merge_interval_arg =
     Arg.(
       value
@@ -667,28 +656,29 @@ let serve_cmd =
   in
   let shards_arg =
     Arg.(
-      value & opt int 1
+      value
+      & opt (some int) None
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Serve a fault-isolated sharded corpus: $(docv) independent WAL-backed shards at \
-             <env>.shard<i>, documents routed by a stable hash of their id, queries \
-             scatter-gathered over the live shards.  A shard that cannot answer degrades the \
-             response to PARTIAL (shards=served/total, sound score_bound) instead of failing \
-             it; SHARDS reports per-shard health and RELOAD <i> swaps one shard.  Requires \
-             --env (the per-shard file prefix); implies live ingestion (--ingest-wal is not \
-             needed — each shard has its own WAL).  Default 1: a single unsharded store.")
+            "Serve a writable corpus of $(docv) >= 1 WAL-backed shards at <env>.shard<i> (WAL \
+             <env>.shard<i>.wal): INGEST/DELETE/MERGE become live, documents route by a stable \
+             hash of their id and queries scatter-gather over the live shards.  A shard that \
+             cannot answer degrades the response to PARTIAL (shards=served/total, sound \
+             score_bound) instead of failing it; SHARDS reports per-shard health and RELOAD <i> \
+             swaps one shard.  Without --shards or --replicas the server is read-only.")
   in
   let replicas_arg =
     Arg.(
-      value & opt int 1
+      value
+      & opt (some int) None
       & info [ "replicas" ] ~docv:"R"
           ~doc:
             "Keep $(docv) copies of each shard (DESIGN.md §4l): a primary plus followers, each \
              a full WAL-backed store (follower j at <env>.shard<i>.r<j>), kept in sync by WAL \
              shipping.  Queries fail over to the next in-sync replica, so losing one copy still \
              yields Complete answers; SHARDS/STATS gain per-replica lines and RELOAD \
-             <shard>.<replica> catches one copy up from its primary.  Works with --shards 1 \
-             too (a replicated single shard).  Default 1: unreplicated.")
+             <shard>.<replica> catches one copy up from its primary.  Implies the writable \
+             corpus (one shard unless --shards says otherwise).  Default 1: unreplicated.")
   in
   let ack_mode_arg =
     Arg.(
@@ -716,7 +706,7 @@ let serve_cmd =
   let run file xmark articles hierarchy_file weights_spec env_file host port port_file workers
       queue_depth max_conns read_timeout_ms write_timeout_ms k timeout_ms tuple_budget step_budget
       restart_cap cache_mb no_cache hard_wall_ms no_supervise quarantine_strikes queue_deadline_ms
-      ingest_wal merge_interval_ms max_doc_bytes max_doc_elems write_lane shards replicas ack_mode
+      merge_interval_ms max_doc_bytes max_doc_elems write_lane shards replicas ack_mode
       probation_ms =
     let ( let* ) r f =
       match r with
@@ -726,18 +716,17 @@ let serve_cmd =
       | Ok v -> f v
     in
     let* weights = load_weights weights_spec in
+    let writable = shards <> None || replicas <> None in
     let* env =
-      match
-        ((if shards > 1 || replicas > 1 then Some () else Option.map ignore ingest_wal), env_file)
-      with
-      | Some _, _ ->
-        (* The ingest store (opened inside Server.create) loads the
-           snapshot and replays the WAL itself; this env only donates
-           weights and hierarchy for a store starting from nothing, so
-           the snapshot file is allowed not to exist yet. *)
+      match (writable, env_file) with
+      | true, _ ->
+        (* The corpus (opened inside Server.create) loads each shard's
+           snapshot and replays its WAL itself; this env only donates
+           weights and hierarchy for shards starting from nothing, so
+           no snapshot file needs to exist yet. *)
         Result.bind (load_hierarchy hierarchy_file) (fun hierarchy ->
             Result.map Flexpath.Ingest.env (Flexpath.Ingest.empty ~weights ~hierarchy ()))
-      | None, Some path ->
+      | false, Some path ->
         Result.map
           (fun (env, outcome) ->
             (match outcome with
@@ -746,7 +735,7 @@ let serve_cmd =
               Printf.eprintf "warning: %s: %s\n" path (Flexpath.Storage.outcome_to_string outcome));
             env)
           (Flexpath.Storage.load ~weights path)
-      | None, None ->
+      | false, None ->
         Result.bind (load_doc ~file ~xmark_items:xmark ~articles_count:articles) (fun doc ->
             Result.bind (load_hierarchy hierarchy_file) (fun hierarchy ->
                 Flexpath.Env.build ~weights ~hierarchy doc))
@@ -770,28 +759,21 @@ let serve_cmd =
         quarantine_strikes;
         queue_deadline_ms;
         ingest =
-          (* --shards N (N > 1) or --replicas R (R > 1) enables the
-             sharded/replicated corpus even without --ingest-wal: every
-             replica owns its own WAL, so the single WAL path is unused
-             there. *)
-          (match (ingest_wal, shards > 1 || replicas > 1) with
-          | None, false -> None
-          | wal_opt, _ ->
-            let wal = Option.value wal_opt ~default:"" in
-            let d = Server.ingest_defaults ~wal in
-            Some
-              {
-                Server.wal;
-                merge_interval_ms =
-                  Option.value merge_interval_ms ~default:d.Server.merge_interval_ms;
-                max_doc_bytes = Option.value max_doc_bytes ~default:d.Server.max_doc_bytes;
-                max_doc_elems = Option.value max_doc_elems ~default:d.Server.max_doc_elems;
-                write_lane = Option.value write_lane ~default:d.Server.write_lane;
-                shards;
-                replicas;
-                ack_mode;
-                probation_ms = Option.value probation_ms ~default:d.Server.probation_ms;
-              });
+          (if not writable then None
+           else
+             let d = Server.ingest_defaults in
+             Some
+               {
+                 Server.merge_interval_ms =
+                   Option.value merge_interval_ms ~default:d.Server.merge_interval_ms;
+                 max_doc_bytes = Option.value max_doc_bytes ~default:d.Server.max_doc_bytes;
+                 max_doc_elems = Option.value max_doc_elems ~default:d.Server.max_doc_elems;
+                 write_lane = Option.value write_lane ~default:d.Server.write_lane;
+                 shards = Option.value shards ~default:1;
+                 replicas = Option.value replicas ~default:1;
+                 ack_mode;
+                 probation_ms = Option.value probation_ms ~default:d.Server.probation_ms;
+               });
       }
     in
     match Server.create cfg ~env with
@@ -821,9 +803,9 @@ let serve_cmd =
       $ host_arg $ port_arg $ port_file_arg $ workers_arg $ queue_arg $ max_conns_arg
       $ read_timeout_arg $ write_timeout_arg $ k_arg $ timeout_arg $ tuple_budget_arg
       $ step_budget_arg $ restart_cap_arg $ cache_mb_arg $ no_cache_arg $ hard_wall_arg
-      $ no_supervise_arg $ quarantine_arg $ queue_deadline_arg $ ingest_wal_arg
-      $ merge_interval_arg $ max_doc_bytes_arg $ max_doc_elems_arg $ write_lane_arg
-      $ shards_arg $ replicas_arg $ ack_mode_arg $ probation_arg)
+      $ no_supervise_arg $ quarantine_arg $ queue_deadline_arg $ merge_interval_arg
+      $ max_doc_bytes_arg $ max_doc_elems_arg $ write_lane_arg $ shards_arg $ replicas_arg
+      $ ack_mode_arg $ probation_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -832,12 +814,12 @@ let serve_cmd =
           PING/QUERY/RELAX/STATS/RELOAD/SHUTDOWN requests, length-framed responses, a domain \
           worker pool with heartbeat supervision (lost workers are replaced, poison queries \
           quarantined), admission control with queue-deadline shedding and per-request budgets \
-          (DESIGN.md §4e, §4g).  With --ingest-wal, the corpus is writable: framed INGEST plus \
-          DELETE/MERGE, WAL-durable acks, and a background delta-merge domain (DESIGN.md §4h).  \
-          With --shards N, the corpus is sharded into independent failure domains: queries \
-          scatter-gather over the live shards, a lost shard degrades answers to PARTIAL with a \
-          sound bound instead of failing them, and SHARDS/RELOAD <i> expose per-shard health \
-          and recovery (DESIGN.md §4i).  With --replicas R, each shard is a replica set kept \
+          (DESIGN.md §4e, §4g).  With --shards N (N >= 1), the corpus is writable and split \
+          into N independent failure domains: framed INGEST plus DELETE/MERGE, WAL-durable \
+          acks and a background delta-merge domain (DESIGN.md §4h); queries scatter-gather over \
+          the live shards, a lost shard degrades answers to PARTIAL with a sound bound instead \
+          of failing them, and SHARDS/RELOAD <i> expose per-shard health and recovery \
+          (DESIGN.md §4i).  With --replicas R, each shard is a replica set kept \
           in sync by WAL shipping: probes fail over to the next in-sync copy (losing one \
           replica keeps answers Complete), RELOAD <i>.<j> catches one copy up from its \
           primary, and a disk fault degrades the store to READONLY instead of crashing \
@@ -1043,7 +1025,7 @@ let bench_serve_cmd =
       & info [ "ingest-frac" ] ~docv:"F"
           ~doc:
             "Fraction of arrivals that are framed idempotent INGEST upserts (in-process mode \
-             enables live ingestion automatically when nonzero).")
+             serves a writable one-shard corpus when nonzero).")
   in
   let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload PRNG seed.") in
   let out_arg =
@@ -1135,9 +1117,10 @@ let bench_serve_cmd =
                      ~hierarchy:Tpq.Hierarchy.empty
                      (Xmark.Articles.doc ~count:articles ()))
               else begin
-                (* Live ingestion serves the store's own corpus, so seed
-                   it: build an ingest corpus from the article trees and
-                   persist it as the snapshot the store will load. *)
+                (* Live ingestion serves the corpus's own documents, so
+                   seed it: build an ingest corpus from the article trees
+                   and persist it as the snapshot its one shard will
+                   load. *)
                 let article_trees =
                   List.filter
                     (fun t -> Xmldom.Xml.tag t = Some "article")
@@ -1151,13 +1134,12 @@ let bench_serve_cmd =
                     (Printf.sprintf "flexpath-bench-%d" (Unix.getpid ()))
                 in
                 (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-                let snap = Filename.concat dir "corpus.snap" in
-                let wal = Filename.concat dir "corpus.wal" in
+                let prefix = Filename.concat dir "corpus" in
                 Result.bind (Flexpath.Ingest.of_docs docs) (fun corpus ->
                     let env = Flexpath.Ingest.env corpus in
                     Result.map
-                      (fun () -> (env, Some snap, Some (Server.ingest_defaults ~wal)))
-                      (Flexpath.Storage.save env snap))
+                      (fun () -> (env, Some prefix, Some Server.ingest_defaults))
+                      (Flexpath.Storage.save env (prefix ^ ".shard0")))
               end
             in
             match build with
@@ -1278,15 +1260,19 @@ let bench_check_cmd =
         Printf.eprintf "error: %s: %s\n" path msg;
         exit_usage
       | Ok () ->
+        let json = Result.get_ok (Ljson.parse text) in
         let count key =
-          match Result.to_option (Ljson.parse text) with
-          | Some json ->
-            List.length (Ljson.to_list (Option.value ~default:Ljson.Null (Ljson.member key json)))
-          | None -> 0
+          List.length (Ljson.to_list (Option.value ~default:Ljson.Null (Ljson.member key json)))
         in
-        (match count "scales" with
-        | 0 -> Printf.printf "%s: ok (%d series entries)\n" path (count "series")
-        | n -> Printf.printf "%s: ok (%d scales)\n" path n);
+        (* The summary names what the schema gate checked for this
+           artifact's bench tag (the same dispatch as the gate). *)
+        (match Ljson.member "bench" json with
+        | Some (Ljson.Str "twig") ->
+          Printf.printf "%s: ok (%d series entries)\n" path (count "series")
+        | Some (Ljson.Str "replica") ->
+          Printf.printf "%s: ok (replica: healthy and replica-lost passes, 0 lost-pass partials)\n"
+            path
+        | Some _ | None -> Printf.printf "%s: ok (%d scales)\n" path (count "scales"));
         0)
   in
   Cmd.v

@@ -4,6 +4,19 @@ let log_src = Logs.Src.create "flexpath" ~doc:"FleXPath top-K query evaluation"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+type algorithm = DPO | SSO | Hybrid
+
+let algorithm_to_string = function DPO -> "dpo" | SSO -> "sso" | Hybrid -> "hybrid"
+
+let algorithm_of_string s =
+  match String.lowercase_ascii s with
+  | "dpo" -> Ok DPO
+  | "sso" -> Ok SSO
+  | "hybrid" -> Ok Hybrid
+  | other -> Error (Printf.sprintf "unknown algorithm %S (expected dpo, sso or hybrid)" other)
+
+let all_algorithms = [ DPO; SSO; Hybrid ]
+
 type completeness = Complete | Truncated of { reason : Guard.reason; score_bound : float }
 
 type result = {

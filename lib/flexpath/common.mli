@@ -15,6 +15,16 @@ val log_src : Logs.src
 
 module Log : Logs.LOG
 
+type algorithm = DPO | SSO | Hybrid
+(** The three top-K strategies of §5.  The one definition: the façade
+    ({!Flexpath.algorithm}) and the sharded corpus
+    ({!Corpus.algorithm}) re-export it, so their constructors are
+    this type's. *)
+
+val algorithm_to_string : algorithm -> string
+val algorithm_of_string : string -> (algorithm, string) result
+val all_algorithms : algorithm list
+
 type completeness =
   | Complete  (** The reported top-K is the true top-K. *)
   | Truncated of { reason : Guard.reason; score_bound : float }

@@ -48,9 +48,9 @@
    the healthy run; [Partial] remains as the R-failures-out-of-R
    floor, with [served]/[total] counting replica sets. *)
 
-type algorithm = DPO | SSO | Hybrid
+type algorithm = Common.algorithm = DPO | SSO | Hybrid
 
-let algorithm_to_string = function DPO -> "dpo" | SSO -> "sso" | Hybrid -> "hybrid"
+let algorithm_to_string = Common.algorithm_to_string
 
 type ack_mode = Sync | Async
 
@@ -156,7 +156,7 @@ type t = {
   strike_threshold : int;
   ack_mode : ack_mode;
   view : view Atomic.t;
-  cache : Qcache.t;
+  cache : Qcache.t option;  (* [None]: no lookups, no stores *)
   fallback_env : Env.t;  (* empty corpus env: bounds when every shard is down *)
   pool : Taskpool.t option;
       (* probe parallelism for the scatter; [None] keeps the original
@@ -289,15 +289,8 @@ let generation_vector t = (Atomic.get t.view).v_gen_vector
 (* ------------------------------------------------------------------ *)
 (* Open / close *)
 
-let auto_seed ids =
-  List.fold_left
-    (fun acc id ->
-      if String.length id > 4 && String.sub id 0 4 = "doc-" then
-        match int_of_string_opt (String.sub id 4 (String.length id - 4)) with
-        | Some n when n >= acc -> n + 1
-        | _ -> acc
-      else acc)
-    1 ids
+(* Corpus auto ids start at [doc-1]. *)
+let auto_seed ids = max 1 (Ingest.next_auto_of ids)
 
 (* Replica 0 keeps the PR-7 single-copy layout, so an existing corpus
    opened with [--replicas R] finds its data as replica 0 and the
@@ -318,7 +311,7 @@ let synced_with_primary ~prim_ids st = List.equal String.equal prim_ids (Ingest.
 
 let open_corpus ?weights ?hierarchy ?scorer ?limits
     ?(strike_threshold = default_strike_threshold) ?(probe_domains = 0) ?(replicas = 1)
-    ?(ack_mode = Sync) ?probation_ms ~shards ~prefix () =
+    ?(ack_mode = Sync) ?probation_ms ?(cache_mb = Some 64) ~shards ~prefix () =
   if shards < 1 || shards > 1024 then
     Error
       (Error.Config_error
@@ -407,7 +400,7 @@ let open_corpus ?weights ?hierarchy ?scorer ?limits
           strike_threshold;
           ack_mode;
           view = Atomic.make { v_shards = [||]; v_gen_vector = ""; v_planner = None };
-          cache = Qcache.create ();
+          cache = Option.map (fun mb -> Qcache.create ~max_bytes:(mb * 1024 * 1024) ()) cache_mb;
           fallback_env;
           pool =
             (* A pool only helps when more than one shard can be probed
@@ -1049,30 +1042,6 @@ let result_cost r =
       0 r.answers
   + (64 * List.length r.reports)
 
-let budget_class = function
-  | None -> "-"
-  | Some (b : Guard.budget) ->
-    let f = function None -> "-" | Some x -> Printf.sprintf "%g" x in
-    let i = function None -> "-" | Some x -> string_of_int x in
-    Printf.sprintf "%s,%s,%s,%s" (f b.Guard.deadline_ms) (i b.Guard.tuple_budget)
-      (i b.Guard.step_budget) (i b.Guard.restart_cap)
-
-(* The answer key embeds the full per-shard generation vector: any
-   write to, loss of, or recovery of {e any} shard changes the vector
-   and therefore misses — a cached merged answer can never outlive a
-   change to one of the shards it was gathered from. *)
-let answer_key t ~algorithm ~scheme ~k ~budget ~executor q =
-  Printf.sprintf "%s|%s|k=%d|b=%s|x=%s|g=%s" (algorithm_to_string algorithm)
-    (Ranking.to_string scheme) k (budget_class budget)
-    (Joins.Exec.executor_to_string executor)
-    ((Atomic.get t.view).v_gen_vector)
-  ^ "|" ^ Tpq.Query.canonical_key q
-
-let plan_key t ~algorithm ~scheme q =
-  Printf.sprintf "%s|%s|g=%s|%s" (algorithm_to_string algorithm) (Ranking.to_string scheme)
-    ((Atomic.get t.view).v_gen_vector)
-    (Tpq.Query.canonical_key q)
-
 let cacheable r =
   (match r.completeness with Complete -> true | Partial _ -> false)
   && (not r.degraded) && r.served = r.total
@@ -1119,13 +1088,18 @@ let clear_strikes t rep =
 
 let query t ?budget ?(algorithm = Hybrid) ?(scheme = Ranking.Structure_first) ?(use_cache = true)
     ?(executor = Joins.Exec.Auto) ~k q =
-  let akey = lazy (answer_key t ~algorithm ~scheme ~k ~budget ~executor q) in
-  match
-    if use_cache then Qcache.find_ext t.cache (Lazy.force akey) else None
-  with
+  let cache = if use_cache then t.cache else None in
+  (* One view serves the whole query, and its generation vector scopes
+     both cache keys: any write to, loss of, or recovery of {e any}
+     shard changes the vector and therefore misses — a cached merged
+     answer can never outlive a change to one of the shards it was
+     gathered from. *)
+  let v = Atomic.get t.view in
+  let pk = lazy (Qcache.plan_key ~scope:v.v_gen_vector ~algorithm ~scheme q) in
+  let akey = lazy (Qcache.answer_key ~plan_key:(Lazy.force pk) ~k ~budget ~executor) in
+  match Option.bind cache (fun c -> Qcache.find_ext c (Lazy.force akey)) with
   | Some (Cached_result r) -> Ok r
   | Some _ | None -> (
-    let v = Atomic.get t.view in
     let total = Array.length v.v_shards in
     let guard = match budget with None -> Guard.none | Some b -> Guard.start b in
     match v.v_planner with
@@ -1160,12 +1134,11 @@ let query t ?budget ?(algorithm = Hybrid) ?(scheme = Ranking.Structure_first) ?(
     | Some planner -> (
       let eval () =
         let plan =
-          let pk = plan_key t ~algorithm ~scheme q in
-          match if use_cache then Qcache.find_plan t.cache pk else None with
+          match Option.bind cache (fun c -> Qcache.find_plan c (Lazy.force pk)) with
           | Some p -> p
           | None ->
             let p = Common.build_plan planner q in
-            if use_cache then Qcache.store_plan t.cache pk p;
+            Option.iter (fun c -> Qcache.store_plan c (Lazy.force pk) p) cache;
             p
         in
         let mt = Common.max_total scheme plan.Common.penv in
@@ -1387,11 +1360,16 @@ let query t ?budget ?(algorithm = Hybrid) ?(scheme = Ranking.Structure_first) ?(
       in
       match eval () with
       | r ->
-        if use_cache && cacheable r then
-          Qcache.store_ext t.cache (Lazy.force akey) (Cached_result r) ~size:(result_cost r);
+        (match cache with
+        | Some c when cacheable r ->
+          Qcache.store_ext c (Lazy.force akey) (Cached_result r) ~size:(result_cost r)
+        | Some _ | None -> ());
         Ok r
       | exception Joins.Exec.Capacity_exceeded { what; limit; actual } ->
         Error (Error.Capacity { what; limit; actual })
       | exception Failpoint.Injected point -> Error (Error.Fault point)))
 
-let cache_counters t = Qcache.counters t.cache
+let cache_counters t =
+  match t.cache with
+  | Some c -> Qcache.counters c
+  | None -> { Qcache.hits = 0; misses = 0; evictions = 0; bytes = 0; entries = 0 }

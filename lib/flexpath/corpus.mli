@@ -45,7 +45,8 @@
 
 type t
 
-type algorithm = DPO | SSO | Hybrid
+type algorithm = Common.algorithm = DPO | SSO | Hybrid
+(** The engine's own type, re-exported: [Corpus.DPO] is [Flexpath.DPO]. *)
 
 val algorithm_to_string : algorithm -> string
 
@@ -73,6 +74,7 @@ val open_corpus :
   ?replicas:int ->
   ?ack_mode:ack_mode ->
   ?probation_ms:float ->
+  ?cache_mb:int option ->
   shards:int ->
   prefix:string ->
   unit ->
@@ -96,7 +98,9 @@ val open_corpus :
     byte-identical either way — the threshold-algorithm floor is a
     sound monotone cutoff, so a concurrently-read stale floor only
     reduces pruning.  [probation_ms] scopes each store's read-only
-    degrade ({!Ingest}). *)
+    degrade ({!Ingest}).  [cache_mb] budgets the corpus's query cache
+    (default [Some 64]); [None] opens the corpus without one — {!query}
+    then never looks up or stores anything. *)
 
 val close : t -> unit
 
@@ -300,10 +304,12 @@ val query :
   Tpq.Query.t ->
   (result, Error.t) Stdlib.result
 (** One guard governs the whole scatter (the deadline and tuple budget
-    span all probes).  Answer- and plan-tier cache keys embed the full
+    span all probes).  Cache keys are the engine's
+    ({!Qcache.plan_key}, {!Qcache.answer_key}) scoped by the full
     generation vector, so any write to, loss of, or recovery of any
     shard invalidates them; only [Complete], non-degraded, fully
-    served results are cached.  [executor] selects the physical join
+    served results are cached, and [use_cache:false] bypasses the
+    cache for one query.  [executor] selects the physical join
     operator used by every probe (default [Auto]); merged results are
     byte-identical across executors. *)
 
@@ -312,3 +318,4 @@ val answer_line : answer -> string
     shared by server and tests so equivalence checks are byte-level. *)
 
 val cache_counters : t -> Qcache.counters
+(** All zero when the corpus was opened without a cache. *)

@@ -22,54 +22,18 @@ let () = Failpoint.install ()
 
 exception Failed of Error.t
 
-type algorithm = DPO | SSO | Hybrid
+type algorithm = Common.algorithm = DPO | SSO | Hybrid
 
-let algorithm_to_string = function DPO -> "dpo" | SSO -> "sso" | Hybrid -> "hybrid"
-
-let algorithm_of_string s =
-  match String.lowercase_ascii s with
-  | "dpo" -> Ok DPO
-  | "sso" -> Ok SSO
-  | "hybrid" -> Ok Hybrid
-  | other -> Error (Printf.sprintf "unknown algorithm %S (expected dpo, sso or hybrid)" other)
-
-let all_algorithms = [ DPO; SSO; Hybrid ]
-
-(* Cache keys.  The plan tier is keyed by everything that shapes the
-   chain and its evaluation order (canonical shape, scheme, algorithm,
-   chain length); the answer tier adds [k] and the budget class, so a
-   governed request never sees a result computed under laxer limits —
-   conservative, since a [Complete] result is budget-independent, but
-   it keeps every cached entry explainable from its key alone. *)
-
-let budget_class = function
-  | None -> "-"
-  | Some (b : Guard.budget) ->
-    let f = function None -> "-" | Some x -> Printf.sprintf "%g" x in
-    let i = function None -> "-" | Some x -> string_of_int x in
-    Printf.sprintf "%s,%s,%s,%s" (f b.Guard.deadline_ms) (i b.Guard.tuple_budget)
-      (i b.Guard.step_budget) (i b.Guard.restart_cap)
-
-let plan_key ~algorithm ~scheme ?max_steps q =
-  Printf.sprintf "%s|%s|%d|%s" (algorithm_to_string algorithm) (Ranking.to_string scheme)
-    (Option.value max_steps ~default:32)
-    (Tpq.Query.canonical_key q)
-
-(* The executor is part of the answer key, not the plan key: plans are
-   executor-independent, and while executors agree byte-for-byte on
-   un-truncated results, a tuple budget or deadline can trip at a
-   different point under each, so a governed request must not see a
-   truncation computed under the other operator. *)
-let answer_key ~plan_key ~k ~budget ~executor =
-  Printf.sprintf "%s|k=%d|b=%s|x=%s" plan_key k (budget_class budget)
-    (Joins.Exec.executor_to_string executor)
+let algorithm_to_string = Common.algorithm_to_string
+let algorithm_of_string = Common.algorithm_of_string
+let all_algorithms = Common.all_algorithms
 
 let run ?(algorithm = Hybrid) ?(scheme = Ranking.Structure_first) ?max_steps ?budget ?cache
     ?(executor = Joins.Exec.Auto) env ~k q =
   let keys =
     lazy
-      (let pk = plan_key ~algorithm ~scheme ?max_steps q in
-       (pk, answer_key ~plan_key:pk ~k ~budget ~executor))
+      (let pk = Qcache.plan_key ~algorithm ~scheme ?max_steps q in
+       (pk, Qcache.answer_key ~plan_key:pk ~k ~budget ~executor))
   in
   let answer_hit =
     match cache with

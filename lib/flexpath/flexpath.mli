@@ -52,27 +52,11 @@ module Corpus = Corpus
 exception Failed of Error.t
 (** Raised only by the [_exn] conveniences ({!run_exn}, {!top_k}). *)
 
-type algorithm = DPO | SSO | Hybrid
+type algorithm = Common.algorithm = DPO | SSO | Hybrid
 
 val algorithm_to_string : algorithm -> string
 val algorithm_of_string : string -> (algorithm, string) result
 val all_algorithms : algorithm list
-
-val plan_key : algorithm:algorithm -> scheme:Ranking.scheme -> ?max_steps:int -> Tpq.Query.t -> string
-(** The {!Qcache} plan-tier key {!run} uses: canonical shape plus
-    everything that shapes the chain and its evaluation
-    ([algorithm], [scheme], effective [max_steps]). *)
-
-val answer_key :
-  plan_key:string ->
-  k:int ->
-  budget:Guard.budget option ->
-  executor:Joins.Exec.executor ->
-  string
-(** The {!Qcache} answer-tier key: the plan key extended with [k], the
-    budget class and the executor (truncation points under a budget
-    can differ per physical operator, so governed results must not
-    cross executors; un-truncated results are identical either way). *)
 
 val run :
   ?algorithm:algorithm ->

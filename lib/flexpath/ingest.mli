@@ -23,8 +23,8 @@
     the ack/durability contract and crash matrix.
 
     Corpora are immutable values; a store is single-writer mutable
-    state (the server serializes writers and publishes each new corpus
-    env through its generation counter). *)
+    state ({!Corpus} serializes each shard's writers and publishes
+    every acknowledged write as a new view). *)
 
 val corpus_tag : string
 (** ["fx-corpus"], the synthetic root tag. *)
@@ -118,6 +118,10 @@ val open_store :
     empty (a snapshot carries its own index and hierarchy).
     [probation_ms] scopes the read-only degrade (below). *)
 
+val next_auto_of : string list -> int
+(** The smallest [N] past every [doc-<n>] id in the list: the suffix of
+    the next auto-assigned id. *)
+
 val ingest : store -> ?id:string -> string -> (string, Error.t) result
 (** Parse under the store's budget, apply, WAL-append, fsync, commit;
     returns the document id (auto-assigned [doc-N] when omitted).  An
@@ -165,7 +169,7 @@ val merge : store -> (unit, Error.t) result
     overlap, which replay handles idempotently. *)
 
 val store_env : store -> Env.t
-(** The current corpus env — what the server publishes after each
+(** The current corpus env — what {!Corpus} publishes after each
     acknowledged write. *)
 
 val store_ids : store -> string list

@@ -135,6 +135,38 @@ let store t key value size =
         evict_to_fit t
       end)
 
+(* ------------------------------------------------------------------ *)
+(* Keys.  The plan tier is keyed by everything that shapes the chain
+   and its evaluation order (canonical shape, scheme, algorithm, chain
+   length) plus the caller's data scope; the answer tier adds [k] and
+   the budget class, so a governed request never sees a result computed
+   under laxer limits — conservative, since a [Complete] result is
+   budget-independent, but it keeps every cached entry explainable from
+   its key alone.  The executor is part of the answer key, not the plan
+   key: plans are executor-independent, and while executors agree
+   byte-for-byte on un-truncated results, a tuple budget or deadline
+   can trip at a different point under each. *)
+
+let budget_class = function
+  | None -> "-"
+  | Some (b : Guard.budget) ->
+    let f = function None -> "-" | Some x -> Printf.sprintf "%g" x in
+    let i = function None -> "-" | Some x -> string_of_int x in
+    Printf.sprintf "%s,%s,%s,%s" (f b.Guard.deadline_ms) (i b.Guard.tuple_budget)
+      (i b.Guard.step_budget) (i b.Guard.restart_cap)
+
+let plan_key ?scope ~algorithm ~scheme ?max_steps q =
+  Printf.sprintf "%s|%s|%d|%s%s"
+    (Common.algorithm_to_string algorithm)
+    (Ranking.to_string scheme)
+    (Option.value max_steps ~default:32)
+    (match scope with None -> "" | Some s -> "g=" ^ s ^ "|")
+    (Tpq.Query.canonical_key q)
+
+let answer_key ~plan_key ~k ~budget ~executor =
+  Printf.sprintf "%s|k=%d|b=%s|x=%s" plan_key k (budget_class budget)
+    (Joins.Exec.executor_to_string executor)
+
 let plan_ns key = "P:" ^ key
 let answer_ns key = "A:" ^ key
 let ext_ns key = "X:" ^ key

@@ -45,6 +45,34 @@ val create : ?max_bytes:int -> unit -> t
 
 val max_bytes : t -> int
 
+(** {2 Keys} — the one key scheme, shared by {!Flexpath.run} and the
+    sharded corpus. *)
+
+val plan_key :
+  ?scope:string ->
+  algorithm:Common.algorithm ->
+  scheme:Ranking.scheme ->
+  ?max_steps:int ->
+  Tpq.Query.t ->
+  string
+(** The plan-tier key: canonical shape plus everything that shapes the
+    chain and its evaluation ([algorithm], [scheme], effective
+    [max_steps], default 32).  [scope] names the data the entry was
+    computed from when one cache outlives a single environment — the
+    corpus passes its generation vector, so any change to any shard
+    misses. *)
+
+val answer_key :
+  plan_key:string ->
+  k:int ->
+  budget:Guard.budget option ->
+  executor:Joins.Exec.executor ->
+  string
+(** The answer-tier key: the plan key extended with [k], the budget
+    class and the executor (truncation points under a budget can differ
+    per physical operator, so governed results must not cross
+    executors; un-truncated results are identical either way). *)
+
 val find_plan : t -> string -> Common.plan option
 (** Plan-tier lookup; a hit refreshes recency. *)
 

@@ -82,15 +82,15 @@ type request =
   | Merge
   | Stats
   | Shards
-      (** Per-shard health of a sharded corpus: one line per shard
-          (state, generation, docs, strikes, backlog).  An error on an
-          unsharded server. *)
+      (** Per-shard health of the writable corpus: one line per shard
+          (state, generation, docs, strikes, backlog).  An error on a
+          read-only server. *)
   | Reload of string option
       (** [None]: re-load the snapshot the server started from (every
-          shard, on a sharded server).  [Some arg]: a snapshot path —
-          or, sharded, the shard to swap: [<ord>] for the whole replica
-          set, [<ord>.<replica>] for one replica (catch-up from the
-          primary when a distinct primary is live). *)
+          shard, on a corpus server).  [Some arg]: a snapshot path — or,
+          on a corpus server, the shard to swap: [<ord>] for the whole
+          replica set, [<ord>.<replica>] for one replica (catch-up from
+          the primary when a distinct primary is live). *)
   | Shutdown
 
 val parse_request : string -> (request, string) result

@@ -5,7 +5,6 @@ module Monotime = Flexpath.Monotime
 module Corpus = Flexpath.Corpus
 
 type ingest_config = {
-  wal : string;
   merge_interval_ms : float;
   max_doc_bytes : int;
   max_doc_elems : int;
@@ -16,9 +15,8 @@ type ingest_config = {
   probation_ms : float;
 }
 
-let ingest_defaults ~wal =
+let ingest_defaults =
   {
-    wal;
     merge_interval_ms = 2000.0;
     max_doc_bytes = Flexpath.Ingest.default_limits.Flexpath.Ingest.max_bytes;
     max_doc_elems = Flexpath.Ingest.default_limits.Flexpath.Ingest.max_elems;
@@ -78,34 +76,22 @@ type slot = { env : Flexpath.Env.t; generation : int; cache : Flexpath.Qcache.t 
 let fresh_cache (cfg : config) =
   Option.map (fun mb -> Flexpath.Qcache.create ~max_bytes:(mb * 1024 * 1024) ()) cfg.cache_mb
 
-(* The live-ingestion runtime.  One writer at a time holds [wlock]
-   ([Ingest] stores are single-writer); [writers] counts requests
-   holding or waiting on it, so the write lane can fast-reject beyond
-   its depth instead of queueing writes without bound behind a slow
-   merge.  The background merge domain publishes its liveness through
-   [merge_dead]: set when the domain body ends abnormally (the
-   [merge_publish] failpoint escapes deliberately), read by the
-   supervision loop to respawn it. *)
-type ingest_rt = {
-  store : Flexpath.Ingest.store;
+(* The writable runtime: a {!Flexpath.Corpus} of [shards >= 1] replica
+   sets (DESIGN.md §4h, §4i).  The corpus serializes writers per shard
+   internally, so only the write lane (admission) lives here:
+   [writers] counts requests inside it, so the lane can fast-reject
+   beyond its depth instead of queueing writes without bound behind a
+   slow merge.  The merge domain walks the shards independently — one
+   shard's backlog never delays another's compaction — and publishes
+   its liveness through [merge_dead]: set when the domain body ends
+   abnormally (the [merge_publish] failpoint escapes deliberately),
+   read by the supervision loop to respawn it. *)
+type corpus_rt = {
+  corpus : Flexpath.Corpus.t;
   icfg : ingest_config;
-  wlock : Mutex.t;
   writers : int Atomic.t;
   merge_dead : bool Atomic.t;
   merge_domain : unit Domain.t option Atomic.t;
-}
-
-(* The sharded-corpus runtime ([shards > 1], DESIGN.md §4i).  The
-   corpus serializes writers per shard internally, so only the write
-   lane (admission) lives here; the merge domain walks the shards
-   independently — one shard's backlog never delays another's
-   compaction. *)
-type corpus_rt = {
-  corpus : Flexpath.Corpus.t;
-  ccfg : ingest_config;
-  cwriters : int Atomic.t;
-  cmerge_dead : bool Atomic.t;
-  cmerge_domain : unit Domain.t option Atomic.t;
 }
 
 (* One parsed request in flight: the event loop hands it to the
@@ -146,7 +132,6 @@ type t = {
   inflight : job option Atomic.t array;
   reload_lock : Mutex.t;
   started_wall : float;
-  ingest : ingest_rt option;
   corpus : corpus_rt option;
 }
 
@@ -154,24 +139,18 @@ let port t = t.bound_port
 let generation t = (Atomic.get t.current).generation
 let active_connections t = Atomic.get t.active
 let metrics t = t.metrics
-let ingest_store t = Option.map (fun rt -> rt.store) t.ingest
 let corpus t = Option.map (fun (rt : corpus_rt) -> rt.corpus) t.corpus
 
-(* With ingestion enabled the served environment is the store's —
-   snapshot (if any) plus the replayed WAL tail — not the caller's;
-   [env] then only donates weights and hierarchy for a store starting
-   from nothing. *)
-let open_ingest (cfg : config) ~env =
-  (* Scatter parallelism for corpus queries: probe domains on top of
-     the querying worker itself, capped so a probe pool never exceeds
-     what the shard count or the worker pool can use. *)
-  let probe_domains =
-    match cfg.ingest with
-    | Some icfg -> max 0 (min (icfg.shards - 1) (cfg.workers - 1))
-    | None -> 0
-  in
+(* With ingestion enabled the served data is the corpus's — per-shard
+   snapshots plus their replayed WAL tails — not the caller's; [env]
+   then only donates weights and hierarchy for shards starting from
+   nothing.  The snapshot path is the per-shard file prefix
+   ([<prefix>.shard<i>] / [.wal], followers at [.r<j>]).  The corpus
+   opens even when some replica is corrupt — that replica is down, the
+   rest serve. *)
+let open_corpus (cfg : config) ~env =
   match cfg.ingest with
-  | None -> Ok (None, None)
+  | None -> Ok None
   | Some icfg -> (
     match cfg.snapshot with
     | None ->
@@ -179,72 +158,43 @@ let open_ingest (cfg : config) ~env =
         (Error.Config_error
            {
              what = "ingest";
-             message = "live ingestion needs a snapshot path (--env) as its merge target";
+             message = "live ingestion needs a snapshot path (--env) as its shard prefix";
            })
-    | Some snapshot ->
+    | Some prefix ->
       let limits =
         {
           Flexpath.Ingest.max_bytes = icfg.max_doc_bytes;
           Flexpath.Ingest.max_elems = icfg.max_doc_elems;
         }
       in
-      if icfg.shards > 1 || icfg.replicas > 1 then
-        (* Sharded (or replicated): the snapshot path is the per-shard
-           file prefix ([<prefix>.shard<i>] / [.wal], followers at
-           [.r<j>]); [icfg.wal] is unused.  The corpus opens even when
-           some replica is corrupt — that replica is down, the rest
-           serve. *)
-        Result.map
-          (fun corpus ->
-            ( None,
-              Some
-                {
-                  corpus;
-                  ccfg = icfg;
-                  cwriters = Atomic.make 0;
-                  cmerge_dead = Atomic.make false;
-                  cmerge_domain = Atomic.make None;
-                } ))
-          (Flexpath.Corpus.open_corpus ~weights:env.Flexpath.Env.weights
-             ~hierarchy:env.Flexpath.Env.hierarchy ~limits ~probe_domains
-             ~replicas:icfg.replicas ~ack_mode:icfg.ack_mode ~probation_ms:icfg.probation_ms
-             ~shards:icfg.shards ~prefix:snapshot ())
-      else
-        Result.map
-          (fun store ->
-            ( Some
-                {
-                  store;
-                  icfg;
-                  wlock = Mutex.create ();
-                  writers = Atomic.make 0;
-                  merge_dead = Atomic.make false;
-                  merge_domain = Atomic.make None;
-                },
-              None ))
-          (Flexpath.Ingest.open_store ~weights:env.Flexpath.Env.weights
-             ~hierarchy:env.Flexpath.Env.hierarchy ~limits ~probation_ms:icfg.probation_ms
-             ~snapshot ~wal:icfg.wal ()))
+      (* Scatter parallelism: probe domains on top of the querying
+         worker itself, capped so a probe pool never exceeds what the
+         shard count or the worker pool can use. *)
+      let probe_domains = max 0 (min (icfg.shards - 1) (cfg.workers - 1)) in
+      Result.map
+        (fun corpus ->
+          Some
+            {
+              corpus;
+              icfg;
+              writers = Atomic.make 0;
+              merge_dead = Atomic.make false;
+              merge_domain = Atomic.make None;
+            })
+        (Corpus.open_corpus ~weights:env.Flexpath.Env.weights
+           ~hierarchy:env.Flexpath.Env.hierarchy ~limits ~probe_domains ~replicas:icfg.replicas
+           ~ack_mode:icfg.ack_mode ~probation_ms:icfg.probation_ms ~cache_mb:cfg.cache_mb
+           ~shards:icfg.shards ~prefix ()))
 
 let create cfg ~env =
   if cfg.workers < 1 then invalid_arg "Server.create: workers must be at least 1";
-  match open_ingest cfg ~env with
+  match open_corpus cfg ~env with
   | Error e -> Error e
-  | Ok (ingest, corpus) -> (
-    let env =
-      match (ingest, corpus) with
-      | Some rt, _ -> Flexpath.Ingest.store_env rt.store
-      | None, Some crt ->
-        (* The merged scoring view: queries scatter over the corpus,
-           but RELAX and a query against an empty corpus still need a
-           coherent env in the slot. *)
-        Flexpath.Corpus.scoring_env crt.corpus
-      | None, None -> env
-    in
-    let close_store () =
-      (match ingest with Some rt -> Flexpath.Ingest.close rt.store | None -> ());
-      match corpus with Some crt -> Flexpath.Corpus.close crt.corpus | None -> ()
-    in
+  | Ok corpus -> (
+    (* A corpus owns its cache and answers QUERY and RELAX itself; its
+       slot only carries the generation STATS reports. *)
+    let cache = if Option.is_none corpus then fresh_cache cfg else None in
+    let close_store () = Option.iter (fun (crt : corpus_rt) -> Corpus.close crt.corpus) corpus in
     let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
     match
       Unix.setsockopt fd Unix.SO_REUSEADDR true;
@@ -266,7 +216,7 @@ let create cfg ~env =
             Eventloop.create ~listen_fd:fd ~max_connections:cfg.max_connections
               ~read_timeout_s:cfg.read_timeout_s ~write_timeout_s:cfg.write_timeout_s;
           queue = Admission.create ~capacity:cfg.queue_depth;
-          current = Atomic.make { env; generation = 1; cache = fresh_cache cfg };
+          current = Atomic.make { env; generation = 1; cache };
           stopping = Atomic.make false;
           active = Atomic.make 0;
           metrics = Metrics.create ();
@@ -277,7 +227,6 @@ let create cfg ~env =
           inflight = Array.init cfg.workers (fun _ -> Atomic.make None);
           reload_lock = Mutex.create ();
           started_wall = Unix.gettimeofday ();
-          ingest;
           corpus;
         }
     | exception Unix.Unix_error (err, _, _) ->
@@ -410,24 +359,24 @@ let retry_after_hint_ms t = min 5000 (50 * (1 + Admission.length t.queue))
 (* The backoff hint for a {e write-lane} reject.  A refused write waits
    on the writer path clearing, not on the connection queue: the
    governing signal is the merge backlog of the shard the write routes
-   to (the store itself, unsharded) — a deep backlog means the next
-   merge pass holds that shard's writer lock longer.  The global
-   connection-queue depth says nothing about that and used to produce
-   flat hints under write-heavy load with an idle read queue. *)
+   to — a deep backlog means the next merge pass holds that shard's
+   writer lock longer.  The global connection-queue depth says nothing
+   about that and used to produce flat hints under write-heavy load
+   with an idle read queue. *)
 let backlog_hint_ms backlog = min 5000 (50 * (1 + backlog))
 
 (* ------------------------------------------------------------------ *)
-(* Live ingestion: write execution, publication, merging *)
+(* Corpus serving (DESIGN.md §4h, §4i).  Queries scatter over the live
+   shards and gather under one guard; a shard that cannot answer
+   degrades the response to PARTIAL with [shards=served/total] and a
+   sound bound instead of failing it.  Writes route by id; RELOAD
+   swaps one shard. *)
 
-let ingest_gauges rt =
-  {
-    Metrics.corpus_docs = Flexpath.Ingest.doc_count rt.store;
-    delta_docs = Flexpath.Ingest.unmerged_records rt.store;
-    wal_bytes = Flexpath.Ingest.wal_bytes rt.store;
-    staleness_ms = Flexpath.Ingest.staleness_ms rt.store;
-    wal_replayed_records = Flexpath.Ingest.replayed_records rt.store;
-    readonly_stores = (if Flexpath.Ingest.readonly rt.store then 1 else 0);
-  }
+(* A write to a server without a corpus is refused, naming the flag
+   that makes it writable. *)
+let read_only t verb =
+  Metrics.write_rejected t.metrics;
+  (Protocol.Err, verb ^ ": the server is read-only (start it with --shards N)", `Error)
 
 (* The write-class error mapping: a read-only degrade (disk fault,
    DESIGN.md §4l) is its own wire status so clients can distinguish
@@ -440,95 +389,6 @@ let write_error_response e =
       Printf.sprintf "%s %s" (Protocol.retry_after_body retry_after_ms) (Error.to_string e),
       `Error )
   | e -> (Protocol.Err, Error.to_string e, `Error)
-
-(* Publish the store's corpus env as a new generation.  Same contract
-   as a RELOAD swap: the fresh cache is installed atomically with the
-   env, so no query can mix a cached answer with a corpus it was not
-   computed from, and in-flight queries keep the slot they started
-   with.  [reload_lock] serializes generation bumps (writers are
-   already serialized by [wlock]; this guards against a racing RELOAD
-   on servers where both paths are live). *)
-let publish t env =
-  Mutex.lock t.reload_lock;
-  let generation = (Atomic.get t.current).generation + 1 in
-  Atomic.set t.current { env; generation; cache = fresh_cache t.cfg };
-  Mutex.unlock t.reload_lock;
-  generation
-
-(* The write lane: admission control for the write class.  [writers]
-   counts requests holding or waiting on [wlock]; past the lane depth
-   a write is told OVERLOADED immediately — queries are admitted by
-   the ordinary queue and never wait here, so a burst of writes (or a
-   merge holding the lock) cannot starve reads of workers. *)
-let with_write_lane t rt f =
-  let pos = Atomic.fetch_and_add rt.writers 1 in
-  Fun.protect
-    ~finally:(fun () -> Atomic.decr rt.writers)
-    (fun () ->
-      if pos >= rt.icfg.write_lane then begin
-        Metrics.write_rejected t.metrics;
-        let hint = backlog_hint_ms (Flexpath.Ingest.unmerged_records rt.store) in
-        (Protocol.Overloaded, Protocol.retry_after_body hint, `Error)
-      end
-      else begin
-        Mutex.lock rt.wlock;
-        Fun.protect ~finally:(fun () -> Mutex.unlock rt.wlock) f
-      end)
-
-let exec_ingest t rt ~id body =
-  match Flexpath.Ingest.ingest rt.store ?id body with
-  | Error e -> write_error_response e
-  | Ok doc_id ->
-    (* The WAL append and fsync succeeded: the write is durable.
-       Publish, then ack with the id (the client needs it to address
-       upserts and deletes) and the generation serving it. *)
-    let generation = publish t (Flexpath.Ingest.store_env rt.store) in
-    Metrics.ingested t.metrics;
-    (Protocol.Ok_, Printf.sprintf "ingested %s; generation %d" doc_id generation, `Ok)
-
-let exec_delete t rt ~id =
-  match Flexpath.Ingest.delete rt.store ~id with
-  | Error e -> write_error_response e
-  | Ok () ->
-    let generation = publish t (Flexpath.Ingest.store_env rt.store) in
-    Metrics.deleted t.metrics;
-    (Protocol.Ok_, Printf.sprintf "deleted %s; generation %d" id generation, `Ok)
-
-(* A MERGE folds the acknowledged deltas into the snapshot and
-   truncates the WAL.  It takes [wlock] directly (not the lane: it
-   carries no document and should not consume write admission), and
-   the [merge_publish] fault that {!Flexpath.Ingest.merge} lets escape
-   is reified here — on this foreground path it costs the request, not
-   the worker; the WAL still covers every acked write, so nothing is
-   lost either way. *)
-let exec_merge t rt =
-  Mutex.lock rt.wlock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock rt.wlock)
-    (fun () ->
-      let deltas = Flexpath.Ingest.unmerged_records rt.store in
-      match Flexpath.Ingest.merge rt.store with
-      | Ok () ->
-        Metrics.merged t.metrics;
-        (Protocol.Ok_, Printf.sprintf "merged %d delta record(s); wal truncated" deltas, `Ok)
-      | Error e ->
-        Metrics.merge_failed t.metrics;
-        write_error_response e
-      | exception Failpoint.Injected p ->
-        Metrics.merge_failed t.metrics;
-        (Protocol.Err, Error.to_string (Error.Fault p), `Error))
-
-(* ------------------------------------------------------------------ *)
-(* Sharded-corpus serving (DESIGN.md §4i).  Queries scatter over the
-   live shards and gather under one guard; a shard that cannot answer
-   degrades the response to PARTIAL with [shards=served/total] and a
-   sound bound instead of failing it.  Writes route by id; RELOAD
-   swaps one shard. *)
-
-let corpus_algorithm = function
-  | Flexpath.DPO -> Corpus.DPO
-  | Flexpath.SSO -> Corpus.SSO
-  | Flexpath.Hybrid -> Corpus.Hybrid
 
 (* Corpus-wide ingestion gauges: sums (docs, backlog, WAL bytes,
    replay) and the max staleness — the slowest shard bounds the
@@ -630,16 +490,19 @@ let exec_shards (crt : corpus_rt) =
   in
   (Protocol.Ok_, String.concat "\n" lines, `Ok)
 
-(* The write lane over a sharded corpus: the same admission class as
-   {!with_write_lane} (the corpus serializes actual writers per shard
-   itself), but the reject hint reflects the backlog of the shard this
-   write {e routes to} — other shards' queues are irrelevant to it. *)
+(* The write lane: admission control for the write class (the corpus
+   serializes actual writers per shard itself).  Past the lane depth a
+   write is told OVERLOADED immediately — queries are admitted by the
+   ordinary queue and never wait here, so a burst of writes (or a merge
+   holding a shard's writer lock) cannot starve reads of workers.  The
+   reject hint reflects the backlog of the shard this write {e routes
+   to} — other shards' queues are irrelevant to it. *)
 let with_corpus_write_lane t (crt : corpus_rt) ~id f =
-  let pos = Atomic.fetch_and_add crt.cwriters 1 in
+  let pos = Atomic.fetch_and_add crt.writers 1 in
   Fun.protect
-    ~finally:(fun () -> Atomic.decr crt.cwriters)
+    ~finally:(fun () -> Atomic.decr crt.writers)
     (fun () ->
-      if pos >= crt.ccfg.write_lane then begin
+      if pos >= crt.icfg.write_lane then begin
         Metrics.write_rejected t.metrics;
         let backlog =
           match id with
@@ -659,6 +522,9 @@ let exec_corpus_ingest t (crt : corpus_rt) ~id body =
   match Corpus.ingest crt.corpus ?id body with
   | Error e -> write_error_response e
   | Ok doc_id ->
+    (* The WAL append and fsync succeeded and the corpus published the
+       write: ack with the id (the client needs it to address upserts
+       and deletes), its shard and the generation vector serving it. *)
     Metrics.ingested t.metrics;
     ( Protocol.Ok_,
       Printf.sprintf "ingested %s; shard %d; generations %s" doc_id
@@ -768,7 +634,6 @@ let exec_corpus_reload t (crt : corpus_rt) arg =
     | Error (ord, e) -> (Protocol.Err, Printf.sprintf "shard %d: %s" ord e, `Error))
 
 let exec_corpus_query (crt : corpus_rt) ~q ~k ~algorithm ~scheme ~budget =
-  let algorithm = Option.map corpus_algorithm algorithm in
   match Corpus.query crt.corpus ?budget ?algorithm ?scheme ~k q with
   | Error e -> (Protocol.Err, Error.to_string e, `Error)
   | Ok r -> (
@@ -789,12 +654,18 @@ let exec_corpus_query (crt : corpus_rt) ~q ~k ~algorithm ~scheme ~budget =
       in
       (Protocol.Partial, String.concat "\n" (hdr :: lines), `Truncated))
 
-(* Per-shard background merges: each shard has its own cadence clock,
-   so a shard with a deep backlog (or a failing disk) never delays the
-   others' compaction.  Same liveness contract as {!merge_domain_body}:
-   an escaping exception flags [cmerge_dead] for the supervisor. *)
+(* The background merge domain: wake every tick; per shard, merge once
+   that shard's own cadence clock has elapsed and it has something to
+   fold, so a shard with a deep backlog (or a failing disk) never
+   delays the others' compaction.  An escaping exception (the
+   [merge_publish] failpoint simulating a crash in the snapshot/WAL
+   overlap window) ends the domain with the shard's writer lock
+   released and [merge_dead] raised; the supervision loop respawns it.
+   Replay idempotency makes the overlap window safe: the snapshot is
+   durable and the WAL still holds the same records, so a restart — of
+   the domain or the process — converges to the same corpus. *)
 let corpus_merge_loop t (crt : corpus_rt) () =
-  let interval_ms = Float.max 50.0 crt.ccfg.merge_interval_ms in
+  let interval_ms = Float.max 50.0 crt.icfg.merge_interval_ms in
   let n = Corpus.shard_count crt.corpus in
   let last = Array.make n (Monotime.now_ms ()) in
   while not (Atomic.get t.stopping) do
@@ -825,56 +696,11 @@ let corpus_merge_domain_body t (crt : corpus_rt) () =
   | () -> ()
   | exception _ ->
     Metrics.merge_failed t.metrics;
-    Atomic.set crt.cmerge_dead true
+    Atomic.set crt.merge_dead true
 
 let spawn_corpus_merge_domain t (crt : corpus_rt) =
-  if crt.ccfg.merge_interval_ms > 0.0 then
-    Atomic.set crt.cmerge_domain (Some (Domain.spawn (corpus_merge_domain_body t crt)))
-
-(* The background merge domain: wake every tick, merge once the
-   interval has elapsed and there is something to fold.  An escaping
-   exception (the [merge_publish] failpoint simulating a crash in the
-   snapshot/WAL overlap window) ends the domain with [wlock] released
-   ([Fun.protect]) and [merge_dead] raised; the supervision loop
-   respawns it.  Replay idempotency makes the overlap window safe: the
-   snapshot is durable and the WAL still holds the same records, so a
-   restart — of the domain or the process — converges to the same
-   corpus. *)
-let merge_loop t rt () =
-  let interval_ms = Float.max 50.0 rt.icfg.merge_interval_ms in
-  let last = ref (Monotime.now_ms ()) in
-  while not (Atomic.get t.stopping) do
-    Unix.sleepf 0.05;
-    if
-      Monotime.now_ms () -. !last >= interval_ms
-      && Flexpath.Ingest.unmerged_records rt.store > 0
-    then begin
-      last := Monotime.now_ms ();
-      Mutex.lock rt.wlock;
-      let result =
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock rt.wlock)
-          (fun () -> Flexpath.Ingest.merge rt.store)
-      in
-      match result with
-      | Ok () -> Metrics.merged t.metrics
-      | Error _ -> Metrics.merge_failed t.metrics
-    end
-  done
-
-let merge_domain_body t rt () =
-  match merge_loop t rt () with
-  | () -> ()
-  | exception _ ->
-    (* The domain dies (deliberately under the [merge_publish]
-       failpoint); flag it for the supervision loop.  No lock is held
-       here — [merge_loop] releases [wlock] before propagating. *)
-    Metrics.merge_failed t.metrics;
-    Atomic.set rt.merge_dead true
-
-let spawn_merge_domain t rt =
-  if rt.icfg.merge_interval_ms > 0.0 then
-    Atomic.set rt.merge_domain (Some (Domain.spawn (merge_domain_body t rt)))
+  if crt.icfg.merge_interval_ms > 0.0 then
+    Atomic.set crt.merge_domain (Some (Domain.spawn (corpus_merge_domain_body t crt)))
 
 (* ------------------------------------------------------------------ *)
 (* Supervised dispatch.
@@ -967,13 +793,10 @@ let dispatch t handle (req : Protocol.request) parsed ~body =
               let cache, ingest, shards =
                 match t.corpus with
                 | Some crt ->
-                  ( Some (Corpus.cache_counters crt.corpus),
+                  ( Option.map (fun _ -> Corpus.cache_counters crt.corpus) t.cfg.cache_mb,
                     Some (corpus_ingest_gauges crt.corpus),
                     corpus_shard_gauges crt.corpus )
-                | None ->
-                  ( Option.map Flexpath.Qcache.counters slot.cache,
-                    Option.map ingest_gauges t.ingest,
-                    [] )
+                | None -> (Option.map Flexpath.Qcache.counters slot.cache, None, [])
               in
               ( Metrics.Stats,
                 ( Protocol.Ok_,
@@ -993,45 +816,28 @@ let dispatch t handle (req : Protocol.request) parsed ~body =
                     `Error ) ))
             | Protocol.Reload path -> (
               ( Metrics.Reload,
-                match (t.corpus, t.ingest) with
-                | Some crt, _ -> exec_corpus_reload t crt path
-                | None, Some _ ->
-                  (* The store owns the snapshot: swapping in another
-                     env would fork the corpus away from the WAL. *)
-                  ( Protocol.Err,
-                    "reload: disabled while live ingestion owns the snapshot (use MERGE)",
-                    `Error )
-                | None, None -> exec_reload t path ))
+                match t.corpus with
+                | Some crt -> exec_corpus_reload t crt path
+                | None -> exec_reload t path ))
             | Protocol.Ingest { id; _ } -> (
               ( Metrics.Ingest,
-                match (t.corpus, t.ingest, body) with
-                | None, None, _ ->
-                  Metrics.write_rejected t.metrics;
-                  ( Protocol.Err,
-                    "ingest: not enabled (start the server with --ingest-wal)",
-                    `Error )
-                | Some crt, _, Some b ->
+                match (t.corpus, body) with
+                | None, _ -> read_only t "ingest"
+                | Some crt, Some b ->
                   with_corpus_write_lane t crt ~id (fun () -> exec_corpus_ingest t crt ~id b)
-                | None, Some rt, Some b -> with_write_lane t rt (fun () -> exec_ingest t rt ~id b)
-                | _, _, None -> assert false ))
+                | Some _, None -> assert false ))
             | Protocol.Delete { id } -> (
               ( Metrics.Delete,
-                match (t.corpus, t.ingest) with
-                | None, None ->
-                  Metrics.write_rejected t.metrics;
-                  ( Protocol.Err,
-                    "delete: not enabled (start the server with --ingest-wal)",
-                    `Error )
-                | Some crt, _ ->
+                match t.corpus with
+                | None -> read_only t "delete"
+                | Some crt ->
                   with_corpus_write_lane t crt ~id:(Some id) (fun () ->
-                      exec_corpus_delete t crt ~id)
-                | None, Some rt -> with_write_lane t rt (fun () -> exec_delete t rt ~id) ))
+                      exec_corpus_delete t crt ~id) ))
             | Protocol.Merge -> (
               ( Metrics.Merge,
-                match (t.corpus, t.ingest) with
-                | None, None -> (Protocol.Err, "merge: live ingestion is not enabled", `Error)
-                | Some crt, _ -> exec_corpus_merge t crt
-                | None, Some rt -> exec_merge t rt ))
+                match t.corpus with
+                | None -> (Protocol.Err, "merge: live ingestion is not enabled", `Error)
+                | Some crt -> exec_corpus_merge t crt ))
             | Protocol.Relax { steps; _ } ->
               ( Metrics.Relax,
                 match parsed with
@@ -1176,25 +982,15 @@ let supervision_loop t () =
         t.domains.(c.index) <- Some (Domain.spawn (worker t c.index h));
         Metrics.worker_respawned t.metrics)
       (Supervisor.scan t.sup ~now_ms:(Monotime.now_ms ()));
-    (* The merge domain is supervised too: a death in the
-       snapshot/WAL overlap window (the [merge_publish] failpoint)
-       leaves [wlock] released and the WAL intact, so a replacement
-       picks the same deltas up and converges. *)
-    (match t.ingest with
-    | Some rt when Atomic.get rt.merge_dead ->
-      Atomic.set rt.merge_dead false;
-      (match Atomic.get rt.merge_domain with Some d -> Domain.join d | None -> ());
-      Atomic.set rt.merge_domain (Some (Domain.spawn (merge_domain_body t rt)));
-      Metrics.merge_respawned t.metrics
-    | Some _ | None -> ());
-    (* The per-shard merge domain is supervised the same way; the
-       shards' WALs keep every acked write, so the replacement
-       converges shard by shard. *)
+    (* The merge domain is supervised too: a death in the snapshot/WAL
+       overlap window (the [merge_publish] failpoint) leaves the shard's
+       writer lock released and its WAL intact, so a replacement picks
+       the same deltas up and converges shard by shard. *)
     match t.corpus with
-    | Some crt when Atomic.get crt.cmerge_dead ->
-      Atomic.set crt.cmerge_dead false;
-      (match Atomic.get crt.cmerge_domain with Some d -> Domain.join d | None -> ());
-      Atomic.set crt.cmerge_domain (Some (Domain.spawn (corpus_merge_domain_body t crt)));
+    | Some crt when Atomic.get crt.merge_dead ->
+      Atomic.set crt.merge_dead false;
+      (match Atomic.get crt.merge_domain with Some d -> Domain.join d | None -> ());
+      Atomic.set crt.merge_domain (Some (Domain.spawn (corpus_merge_domain_body t crt)));
       Metrics.merge_respawned t.metrics
     | Some _ | None -> ()
   done
@@ -1237,8 +1033,7 @@ let serve t =
   Array.iteri
     (fun i _ -> t.domains.(i) <- Some (Domain.spawn (worker t i (Supervisor.occupant t.sup i))))
     t.domains;
-  Option.iter (fun rt -> spawn_merge_domain t rt) t.ingest;
-  Option.iter (fun crt -> spawn_corpus_merge_domain t crt) t.corpus;
+  Option.iter (spawn_corpus_merge_domain t) t.corpus;
   let supervisor =
     if t.cfg.supervise then Some (Domain.spawn (supervision_loop t)) else None
   in
@@ -1251,20 +1046,15 @@ let serve t =
      replacements are in [t.domains]) and exit on their own once their
      wedge notices the stop flag.  The merge domain is joined after
      the supervisor (its last respawn, if any, is then in
-     [merge_domain]); the store closes last — the WAL it leaves behind
-     replays on the next start. *)
+     [merge_domain]); the corpus closes last — the WALs it leaves
+     behind replay on the next start. *)
   Atomic.set t.stopping true;
   Admission.close t.queue;
   Option.iter Domain.join supervisor;
   Array.iter (Option.iter Domain.join) t.domains;
-  (match t.ingest with
-  | Some rt ->
-    (match Atomic.get rt.merge_domain with Some d -> Domain.join d | None -> ());
-    Flexpath.Ingest.close rt.store
-  | None -> ());
   (match t.corpus with
   | Some crt ->
-    (match Atomic.get crt.cmerge_domain with Some d -> Domain.join d | None -> ());
+    (match Atomic.get crt.merge_domain with Some d -> Domain.join d | None -> ());
     Corpus.close crt.corpus
   | None -> ());
   Eventloop.dispose t.loop;

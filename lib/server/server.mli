@@ -1,5 +1,6 @@
 (** The [flexpath serve] engine: a long-lived multi-domain TCP query
-    server over one shared, immutable {!Flexpath.Env}.
+    server over either one shared, immutable {!Flexpath.Env} (the
+    read-only slot) or a writable {!Flexpath.Corpus} ([config.ingest]).
 
     Architecture (DESIGN.md §4e, §4j): the calling domain runs the
     {!Eventloop} — a single poll/epoll-driven I/O domain owning
@@ -35,7 +36,6 @@
     dispatcher error paths. *)
 
 type ingest_config = {
-  wal : string;  (** Write-ahead log path (created if absent). *)
   merge_interval_ms : float;
       (** Cadence of the background merge domain, which folds
           acknowledged deltas into the snapshot and truncates the WAL;
@@ -47,27 +47,24 @@ type ingest_config = {
       (** Per-document element budget, enforced by a streaming SAX
           pre-pass before any tree is built. *)
   write_lane : int;
-      (** Write admission class: [INGEST]/[DELETE] requests holding or
-          waiting on the writer lock beyond this depth are answered
-          [OVERLOADED] immediately, so a write burst (or a merge
-          holding the lock) cannot starve queries of workers.  [0]
-          rejects every write.  The reject's [retry-after-ms] hint
-          scales with the merge backlog of the shard the write routes
-          to (the store itself, unsharded) — the signal that actually
+      (** Write admission class: [INGEST]/[DELETE] requests in flight
+          beyond this depth are answered [OVERLOADED] immediately, so a
+          write burst (or a merge holding a shard's writer lock) cannot
+          starve queries of workers.  [0] rejects every write.  The
+          reject's [retry-after-ms] hint scales with the merge backlog
+          of the shard the write routes to — the signal that actually
           governs how soon the writer path clears. *)
   shards : int;
-      (** [> 1] serves a fault-isolated sharded corpus
-          ({!Flexpath.Corpus}, DESIGN.md §4i) instead of a single
-          store: [snapshot] becomes the per-shard file prefix
-          ([<prefix>.shard<i>] / [<prefix>.shard<i>.wal]; [wal] is
-          unused), documents route to shards by a stable hash of their
-          id, queries scatter-gather over the live shards, and a shard
-          that cannot answer degrades the response to [PARTIAL] with
-          [shards=served/total] and a sound [score_bound] instead of
-          failing it.  [SHARDS] reports per-shard health;
-          [RELOAD <ord>] swaps one shard; background merges are
-          scheduled per shard.  [1] (the default) is the unsharded
-          store. *)
+      (** The corpus's shard count ([>= 1], default 1;
+          {!Flexpath.Corpus}, DESIGN.md §4i): shard [i] keeps its
+          snapshot at [<snapshot>.shard<i>] and its WAL at
+          [<snapshot>.shard<i>.wal], documents route to shards by a
+          stable hash of their id, queries scatter-gather over the live
+          shards, and a shard that cannot answer degrades the response
+          to [PARTIAL] with [shards=served/total] and a sound
+          [score_bound] instead of failing it.  [SHARDS] reports
+          per-shard health; [RELOAD <ord>] swaps one shard; background
+          merges are scheduled per shard. *)
   replicas : int;
       (** [> 1] keeps that many copies of each shard (DESIGN.md §4l):
           a primary plus followers, each a full WAL-backed store
@@ -76,8 +73,7 @@ type ingest_config = {
           so a single replica loss still yields [Complete] answers;
           [SHARDS]/[STATS] gain per-replica lines and
           [RELOAD <ord>.<replica>] catches one replica up from its
-          primary.  Implies the corpus path even at [shards = 1].  [1]
-          (the default) is the unreplicated layout. *)
+          primary.  [1] (the default) is the unreplicated layout. *)
   ack_mode : Flexpath.Corpus.ack_mode;
       (** [Sync] (default): acked records reach every in-sync follower
           (through its own WAL + fsync) before the ack returns.
@@ -92,9 +88,9 @@ type ingest_config = {
           the disk successfully. *)
 }
 
-val ingest_defaults : wal:string -> ingest_config
+val ingest_defaults : ingest_config
 (** 2 s merge interval, {!Flexpath.Ingest.default_limits} document
-    budgets, write lane 4, unsharded, unreplicated ([Sync] ack,
+    budgets, write lane 4, one shard, unreplicated ([Sync] ack,
     {!Flexpath.Ingest.default_probation_ms} probation). *)
 
 type config = {
@@ -115,14 +111,15 @@ type config = {
           per axis. *)
   snapshot : string option;
       (** The snapshot the environment came from; the target of a bare
-          [RELOAD]. *)
+          [RELOAD].  With [ingest] set, the corpus's per-shard file
+          prefix instead. *)
   cache_mb : int option;
       (** Query-cache budget in MiB; [None] disables caching.  The
-          cache ({!Flexpath.Qcache}) lives inside the snapshot slot: a
+          cache ({!Flexpath.Qcache}) lives inside the snapshot slot — a
           successful [RELOAD] swaps in a fresh one atomically with the
-          new environment, so no request can ever mix a cached entry
-          with a snapshot it was not computed from.  [STATS] reports
-          the current generation's counters. *)
+          new environment — or, with [ingest] set, inside the corpus,
+          keyed by its generation vector.  [STATS] reports its
+          counters. *)
   supervise : bool;
       (** Run the supervision loop ({!Supervisor}, DESIGN.md §4g):
           workers whose heartbeat goes stale past [hard_wall_ms] — or
@@ -147,15 +144,15 @@ type config = {
           likely given up on is not worth starting).  [None] disables
           shedding. *)
   ingest : ingest_config option;
-      (** Live ingestion (DESIGN.md §4h).  Requires [snapshot] (the
-          merge target).  The served environment is then the
-          {!Flexpath.Ingest} store's — the snapshot plus the replayed
-          WAL tail — and [INGEST]/[DELETE]/[MERGE] become live; each
-          acknowledged write is WAL-durable {e before} its ack and is
-          published as a new generation through the same atomic slot
-          swap as a reload, so queries never block on writes and never
-          mix cache entries across corpora.  [RELOAD] is refused while
-          ingestion is enabled (the store owns the snapshot). *)
+      (** Live ingestion (DESIGN.md §4h, §4i).  Requires [snapshot]
+          (the shard file prefix).  The server then serves a
+          {!Flexpath.Corpus} — each shard its snapshot plus its
+          replayed WAL tail — and [INGEST]/[DELETE]/[MERGE]/[SHARDS]
+          become live; each acknowledged write is WAL-durable
+          {e before} its ack and is published as a new corpus view, so
+          queries never block on writes.  Answers render through
+          {!Flexpath.Corpus.answer_line}.  [None] (the default) serves
+          the read-only slot. *)
 }
 
 val default_config : config
@@ -169,9 +166,10 @@ type t
 val create : config -> env:Flexpath.Env.t -> (t, Flexpath.Error.t) result
 (** Binds and listens (so {!port} is known before {!serve} runs);
     failures surface as [Error.Io_error].  With [cfg.ingest] set, the
-    store is opened here — snapshot loaded if present, WAL replayed —
-    and {e its} environment is served; [env] then only donates weights
-    and hierarchy for a store starting from nothing. *)
+    corpus is opened here — each shard's snapshot loaded if present,
+    its WAL replayed — and {e its} documents are served; [env] then
+    only donates weights and hierarchy for shards starting from
+    nothing. *)
 
 val port : t -> int
 (** The actually bound port — the ephemeral choice when [cfg.port] was 0. *)
@@ -188,7 +186,8 @@ val stop : t -> unit
 
 val generation : t -> int
 (** The environment's generation: 1 at start, bumped by each
-    successful [RELOAD]. *)
+    successful [RELOAD] of the read-only slot.  A corpus server stays
+    at 1; its shards carry their own generations. *)
 
 val active_connections : t -> int
 (** Connections admitted and not yet settled (served, shed, or
@@ -200,12 +199,8 @@ val metrics : t -> Metrics.t
     invariant checks in tests and for co-located {!Client}s to count
     their retries into. *)
 
-val ingest_store : t -> Flexpath.Ingest.store option
-(** The live-ingestion store, when enabled — exposed so tests can
-    compare the served corpus against an offline rebuild of the acked
-    document set after a quiesce. *)
-
 val corpus : t -> Flexpath.Corpus.t option
-(** The sharded corpus, when [ingest.shards > 1] — exposed so tests
-    can arm shard-level chaos (failpoints, snapshot corruption) and
-    assert per-shard health without going through the wire. *)
+(** The writable corpus, whenever [cfg.ingest] is set — exposed so
+    tests can compare it against an offline rebuild of the acked
+    document set after a quiesce, arm shard-level chaos, and assert
+    per-shard health without going through the wire. *)

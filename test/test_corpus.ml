@@ -189,13 +189,7 @@ let plain_fingerprint docs =
         (fun scheme ->
           List.iter
             (fun qs ->
-              let falgo =
-                match algorithm with
-                | Corpus.DPO -> Flexpath.DPO
-                | Corpus.SSO -> Flexpath.SSO
-                | Corpus.Hybrid -> Flexpath.Hybrid
-              in
-              match Flexpath.run ~algorithm:falgo ~scheme env ~k:10 (parse_query qs) with
+              match Flexpath.run ~algorithm ~scheme env ~k:10 (parse_query qs) with
               | Error e -> Alcotest.failf "plain query %s failed: %s" qs (Error.to_string e)
               | Ok r ->
                 List.iter

@@ -118,6 +118,56 @@ let request_exn c line =
 let close c = try close_in c.ic with Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Writable servers: a corpus whose shard files live in a scratch
+   directory (DESIGN.md §4h, §4i) *)
+
+module Ingest = Flexpath.Ingest
+module Corpus = Flexpath.Corpus
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
+let with_ingest_dir f =
+  let dir = Filename.temp_file "flexpath_ingest_srv" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f ~prefix:(Filename.concat dir "corpus"))
+
+(* A writable one-shard corpus server. *)
+let ingest_cfg ?(merge_interval_ms = 0.0) ?(write_lane = 4) ~prefix () =
+  {
+    Server.default_config with
+    workers = 2;
+    snapshot = Some prefix;
+    ingest = Some { Server.ingest_defaults with Server.merge_interval_ms; write_lane };
+  }
+
+let placeholder_env () =
+  match Ingest.empty () with
+  | Ok c -> Ingest.env c
+  | Error e -> Alcotest.fail (Error.to_string e)
+
+(* A framed INGEST, raw on the wire: the line, then the body and its
+   framing newline ([send] appends exactly one). *)
+let request_ingest c ?id xml =
+  let id_tok = match id with None -> "" | Some i -> " id=" ^ i in
+  send c (Printf.sprintf "INGEST %d%s" (String.length xml) id_tok);
+  send c xml;
+  recv c
+
+let request_ingest_exn c ?id xml =
+  match request_ingest c ?id xml with
+  | Some r -> r
+  | None -> Alcotest.fail "connection closed before a response to INGEST"
+
+let article body =
+  Printf.sprintf "<article><title>live</title><section><paragraph>%s</paragraph></section></article>"
+    body
+
+(* ------------------------------------------------------------------ *)
 (* Substrate units: the admission queue and the latency reservoir *)
 
 let test_admission_queue () =
@@ -429,26 +479,66 @@ let with_failpoint name f =
 (* ------------------------------------------------------------------ *)
 (* The query cache behind the server *)
 
+(* A writable one-shard corpus holding documents the cache tests'
+   query matches. *)
+let with_seeded_corpus_server ?(cache_mb = Some 64) f =
+  with_ingest_dir (fun ~prefix ->
+      let cfg = { (ingest_cfg ~prefix ()) with Server.workers = 1; cache_mb } in
+      with_server ~cfg (placeholder_env ()) (fun srv ->
+          let corpus = Option.get (Server.corpus srv) in
+          List.iter
+            (fun (id, text) ->
+              match Corpus.ingest corpus ~id (article text) with
+              | Ok _ -> ()
+              | Error e -> Alcotest.fail (Error.to_string e))
+            [ ("a", "xml streaming"); ("b", "streaming xml engines"); ("c", "plain text") ];
+          f srv))
+
 let test_cache_serves_repeat_without_executor () =
+  (* [uncached] checks the reply to a shape the cache has not seen,
+     issued with the executor failpoint armed: the read-only slot
+     fails the request, the corpus loses its only shard's probe. *)
+  let check_repeat ~uncached srv =
+    let c = connect (Server.port srv) in
+    let status, cold = request_exn c query_line in
+    check_string "cold query" "OK" (Protocol.status_to_string status);
+    (* With the executor failpoint armed, the repeated query can only
+       succeed if it never reaches the executor — i.e. it is served
+       from the answer tier. *)
+    with_failpoint "exec.run" (fun () ->
+        let status, warm = request_exn c query_line in
+        check_string "repeat served from the cache" "OK" (Protocol.status_to_string status);
+        check_string "cached body is byte-identical" cold warm;
+        let status, body = request_exn c "QUERY k=3 //section[./algorithm]" in
+        uncached (Protocol.status_to_string status) body);
+    let status, body = request_exn c "STATS" in
+    check_string "stats ok" "OK" (Protocol.status_to_string status);
+    check_bool "the hit was counted" true (has_infix ~affix:"cache_hits: 1" body);
+    close c
+  in
   let cfg = { Server.default_config with workers = 1 } in
-  with_server ~cfg (make_env ()) (fun srv ->
+  with_server ~cfg (make_env ())
+    (check_repeat ~uncached:(fun status body ->
+         check_string "uncached shape does reach the executor" "ERR" status;
+         check_bool "and trips the armed failpoint" true (has_infix ~affix:"exec.run" body)));
+  with_seeded_corpus_server
+    (check_repeat ~uncached:(fun status body ->
+         check_string "uncached shape does reach the executor" "PARTIAL" status;
+         check_bool "and loses the probe to the armed failpoint" true
+           (has_infix ~affix:"shards=0/1" body)));
+  (* --no-cache: the corpus neither looks up nor stores, so the repeat
+     reaches the armed executor too, and STATS says so. *)
+  with_seeded_corpus_server ~cache_mb:None (fun srv ->
       let c = connect (Server.port srv) in
-      let status, cold = request_exn c query_line in
+      let status, _ = request_exn c query_line in
       check_string "cold query" "OK" (Protocol.status_to_string status);
-      (* With the executor failpoint armed, the repeated query can only
-         succeed if it never reaches the executor — i.e. it is served
-         from the answer tier. *)
       with_failpoint "exec.run" (fun () ->
-          let status, warm = request_exn c query_line in
-          check_string "repeat served from the cache" "OK" (Protocol.status_to_string status);
-          check_string "cached body is byte-identical" cold warm;
-          let status, body = request_exn c "QUERY k=3 //section[./algorithm]" in
-          check_string "uncached shape does reach the executor" "ERR"
-            (Protocol.status_to_string status);
-          check_bool "and trips the armed failpoint" true (has_infix ~affix:"exec.run" body));
-      let status, body = request_exn c "STATS" in
-      check_string "stats ok" "OK" (Protocol.status_to_string status);
-      check_bool "the hit was counted" true (has_infix ~affix:"cache_hits: 1" body);
+          let status, _ = request_exn c query_line in
+          check_string "the repeat is evaluated again" "PARTIAL"
+            (Protocol.status_to_string status));
+      let _, body = request_exn c "STATS" in
+      check_bool "STATS reports the cache off" true (has_infix ~affix:"cache: off" body);
+      check_bool "and counts no hits" false (has_infix ~affix:"cache_hits" body);
       close c)
 
 let test_reload_invalidates_cache () =
@@ -916,69 +1006,24 @@ let test_chaos_soak () =
 (* ------------------------------------------------------------------ *)
 (* Live ingestion over the wire (DESIGN.md §4h) *)
 
-module Ingest = Flexpath.Ingest
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let with_ingest_dir f =
-  let dir = Filename.temp_file "flexpath_ingest_srv" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () -> f ~snap:(Filename.concat dir "snap.fxe") ~wal:(Filename.concat dir "wal.log"))
-
-let ingest_cfg ?(merge_interval_ms = 0.0) ?(write_lane = 4) ~snap ~wal () =
-  {
-    Server.default_config with
-    workers = 2;
-    snapshot = Some snap;
-    ingest = Some { (Server.ingest_defaults ~wal) with Server.merge_interval_ms; write_lane };
-  }
-
-let placeholder_env () =
-  match Ingest.empty () with
-  | Ok c -> Ingest.env c
-  | Error e -> Alcotest.fail (Error.to_string e)
-
-(* A framed INGEST, raw on the wire: the line, then the body and its
-   framing newline ([send] appends exactly one). *)
-let request_ingest c ?id xml =
-  let id_tok = match id with None -> "" | Some i -> " id=" ^ i in
-  send c (Printf.sprintf "INGEST %d%s" (String.length xml) id_tok);
-  send c xml;
-  recv c
-
-let request_ingest_exn c ?id xml =
-  match request_ingest c ?id xml with
-  | Some r -> r
-  | None -> Alcotest.fail "connection closed before a response to INGEST"
-
-let article body =
-  Printf.sprintf "<article><title>live</title><section><paragraph>%s</paragraph></section></article>"
-    body
-
 let test_ingest_wire () =
-  with_ingest_dir (fun ~snap ~wal ->
-      with_server ~cfg:(ingest_cfg ~snap ~wal ()) (placeholder_env ()) (fun srv ->
+  with_ingest_dir (fun ~prefix ->
+      with_server ~cfg:(ingest_cfg ~prefix ()) (placeholder_env ()) (fun srv ->
           let c = connect (Server.port srv) in
           (* An acked write is visible to the very next QUERY. *)
           let status, body = request_ingest_exn c ~id:"a" (article "xml streaming") in
           check_string "ingest acked" "OK" (Protocol.status_to_string status);
-          check_bool "ack names the id and generation" true
-            (has_infix ~affix:"ingested a" body && has_infix ~affix:"generation 2" body);
+          check_string "ack names the id, the shard and the generation vector"
+            "ingested a; shard 0; generations 1" body;
           let status, body = request_exn c "QUERY k=3 //article[.contains(\"streaming\")]" in
           check_string "query sees the new document" "OK" (Protocol.status_to_string status);
-          check_bool "the answer is inside the ingested wrapper" true
-            (has_infix ~affix:"fx-doc" body);
+          check_bool "the answer is inside the ingested document" true
+            (has_infix ~affix:"a/article[1]" body);
           (* Anonymous ingest auto-assigns doc-N. *)
           let status, body = request_ingest_exn c (article "anonymous") in
           check_string "anonymous ingest acked" "OK" (Protocol.status_to_string status);
           check_bool "auto id assigned" true (has_infix ~affix:"ingested doc-" body);
+          let auto_id = Scanf.sscanf body "ingested %s@;" Fun.id in
           (* Upsert: re-ingesting an id replaces its content. *)
           let _ = request_ingest_exn c ~id:"a" (article "replacement text") in
           let status, body = request_exn c "QUERY k=3 //article[.contains(\"streaming\")]" in
@@ -986,7 +1031,7 @@ let test_ingest_wire () =
           check_bool "old content no longer matches exactly" true
             (body = "" || not (has_infix ~affix:"exact" body));
           (* DELETE. *)
-          let status, _ = request_exn c "DELETE doc-0" in
+          let status, _ = request_exn c ("DELETE " ^ auto_id) in
           check_string "delete acked" "OK" (Protocol.status_to_string status);
           let status, body = request_exn c "DELETE nope" in
           check_string "unknown id is ERR" "ERR" (Protocol.status_to_string status);
@@ -1007,10 +1052,16 @@ let test_ingest_wire () =
               "ingests: 3";
               "deletes: 1";
             ];
-          (* RELOAD is refused while the store owns the snapshot. *)
+          (* RELOAD reopens shard 0 from its snapshot + WAL; the
+             replayed corpus answers exactly as before. *)
+          let query = "QUERY k=3 //article[.contains(\"replacement\")]" in
+          let _, before = request_exn c query in
           let status, body = request_exn c "RELOAD" in
-          check_string "reload refused under ingestion" "ERR" (Protocol.status_to_string status);
-          check_bool "refusal points at MERGE" true (has_infix ~affix:"MERGE" body);
+          check_string "reload ok under ingestion" "OK" (Protocol.status_to_string status);
+          check_bool "reload names shard 0" true (has_infix ~affix:"reloaded shard(s) 0" body);
+          let status, after = request_exn c query in
+          check_string "post-reload query ok" "OK" (Protocol.status_to_string status);
+          check_string "post-reload answers unchanged" before after;
           (* MERGE folds the deltas and truncates the WAL. *)
           let status, body = request_exn c "MERGE" in
           check_string "merge ok" "OK" (Protocol.status_to_string status);
@@ -1018,7 +1069,7 @@ let test_ingest_wire () =
             (has_infix ~affix:"4 delta record(s)" body);
           let _, body = request_exn c "STATS" in
           check_bool "no deltas after merge" true (has_infix ~affix:"delta_docs: 0" body);
-          check_bool "snapshot exists after merge" true (Sys.file_exists snap);
+          check_bool "snapshot exists after merge" true (Sys.file_exists (prefix ^ ".shard0"));
           (* Merged state serves identically. *)
           let status, _ = request_exn c "QUERY k=3 //article[.contains(\"replacement\")]" in
           check_string "post-merge query ok" "OK" (Protocol.status_to_string status);
@@ -1031,7 +1082,7 @@ let test_ingest_not_enabled () =
          refused, so the connection stays line-synchronized. *)
       let status, body = request_ingest_exn c ~id:"a" "<doc/>" in
       check_string "ingest without a store is ERR" "ERR" (Protocol.status_to_string status);
-      check_bool "error names the flag" true (has_infix ~affix:"ingest-wal" body);
+      check_bool "error names the flag" true (has_infix ~affix:"--shards" body);
       let status, _ = request_exn c "MERGE" in
       check_string "merge without a store is ERR" "ERR" (Protocol.status_to_string status);
       let status, _ = request_exn c "PING" in
@@ -1039,8 +1090,8 @@ let test_ingest_not_enabled () =
       close c)
 
 let test_ingest_write_lane_zero () =
-  with_ingest_dir (fun ~snap ~wal ->
-      with_server ~cfg:(ingest_cfg ~write_lane:0 ~snap ~wal ()) (placeholder_env ()) (fun srv ->
+  with_ingest_dir (fun ~prefix ->
+      with_server ~cfg:(ingest_cfg ~write_lane:0 ~prefix ()) (placeholder_env ()) (fun srv ->
           let c = connect (Server.port srv) in
           (match request_ingest c ~id:"a" "<doc/>" with
           | Some (Protocol.Overloaded, body) ->
@@ -1056,8 +1107,8 @@ let test_ingest_write_lane_zero () =
           close c))
 
 let test_ingest_restart_replay () =
-  with_ingest_dir (fun ~snap ~wal ->
-      let cfg = ingest_cfg ~snap ~wal () in
+  with_ingest_dir (fun ~prefix ->
+      let cfg = ingest_cfg ~prefix () in
       with_server ~cfg (placeholder_env ()) (fun srv ->
           let c = connect (Server.port srv) in
           let _ = request_ingest_exn c ~id:"a" (article "first") in
@@ -1074,20 +1125,20 @@ let test_ingest_restart_replay () =
             (has_infix ~affix:"wal_replayed_records: 3" body);
           check_bool "replay reaches the acked document set" true
             (has_infix ~affix:"corpus_docs: 1" body);
-          let store =
-            match Server.ingest_store srv with
-            | Some s -> s
-            | None -> Alcotest.fail "ingest store missing"
+          let corpus =
+            match Server.corpus srv with
+            | Some c -> c
+            | None -> Alcotest.fail "corpus missing"
           in
-          check_bool "only b survives" true (Ingest.store_ids store = [ "b" ]);
+          check_bool "only b survives" true (Corpus.ids corpus = [ "b" ]);
           let status, body = request_exn c "QUERY k=3 //article[.contains(\"second\")]" in
           check_string "replayed document serves" "OK" (Protocol.status_to_string status);
-          check_bool "replayed document matches" true (has_infix ~affix:"fx-doc" body);
+          check_bool "replayed document matches" true (has_infix ~affix:"b/article[1]" body);
           close c))
 
 let test_ingest_failpoints () =
-  with_ingest_dir (fun ~snap ~wal ->
-      with_server ~cfg:(ingest_cfg ~snap ~wal ()) (placeholder_env ()) (fun srv ->
+  with_ingest_dir (fun ~prefix ->
+      with_server ~cfg:(ingest_cfg ~prefix ()) (placeholder_env ()) (fun srv ->
           let c = connect (Server.port srv) in
           let _ = request_ingest_exn c ~id:"keep" (article "durable baseline") in
           (* A WAL fault fails the write — and MUST leave it out of both
@@ -1100,7 +1151,7 @@ let test_ingest_failpoints () =
               check_bool (point ^ " is named") true (has_infix ~affix:point body);
               let status, body = request_exn c "QUERY k=5 //article[.contains(\"never\")]" in
               check_string "rejected write is invisible" "OK" (Protocol.status_to_string status);
-              check_bool "no ghost answers" true (not (has_infix ~affix:"fx-doc" body)))
+              check_bool "no ghost answers" true (not (has_infix ~affix:"ghost" body)))
             [ "wal_append"; "wal_fsync" ];
           (* A merge-publish fault loses nothing: the snapshot/WAL
              overlap window is replay-idempotent, and the next merge
@@ -1111,7 +1162,7 @@ let test_ingest_failpoints () =
           let status, body = request_exn c "QUERY k=3 //article[.contains(\"durable\")]" in
           check_string "corpus intact after the faulted merge" "OK"
             (Protocol.status_to_string status);
-          check_bool "baseline still answers" true (has_infix ~affix:"fx-doc" body);
+          check_bool "baseline still answers" true (has_infix ~affix:"keep/article[1]" body);
           let status, _ = request_exn c "MERGE" in
           check_string "retried merge succeeds" "OK" (Protocol.status_to_string status);
           let _, body = request_exn c "STATS" in
@@ -1125,8 +1176,8 @@ let test_ingest_failpoints () =
    (connection died before any response), an anonymous INGEST must
    fail fast — only an explicit id may be retried. *)
 let test_ingest_retry_idempotency () =
-  with_ingest_dir (fun ~snap ~wal ->
-      with_server ~cfg:(ingest_cfg ~snap ~wal ()) (placeholder_env ()) (fun srv ->
+  with_ingest_dir (fun ~prefix ->
+      with_server ~cfg:(ingest_cfg ~prefix ()) (placeholder_env ()) (fun srv ->
           let port = Server.port srv in
           let retry =
             { Client.default_retry with retries = 3; budget_ms = Some 5000.0; base_backoff_ms = 5.0 }
@@ -1171,13 +1222,12 @@ let soak_seconds () =
   | Some s -> ( match float_of_string_opt s with Some v when v > 0.0 -> v | _ -> 60.0)
   | None -> 60.0
 
+(* Node id and float bits of each answer, in rank order. *)
 let fingerprint answers =
   String.concat ";"
     (List.map
-       (fun (a : Flexpath.Answer.t) ->
-         Printf.sprintf "%d:%Lx:%Lx" (a.node :> int)
-           (Int64.bits_of_float a.sscore)
-           (Int64.bits_of_float a.kscore))
+       (fun (node, sscore, kscore) ->
+         Printf.sprintf "%d:%Lx:%Lx" node (Int64.bits_of_float sscore) (Int64.bits_of_float kscore))
        answers)
 
 let soak_queries =
@@ -1191,10 +1241,10 @@ let soak_queries =
   ]
 
 let test_ingest_chaos_soak () =
-  with_ingest_dir (fun ~snap ~wal ->
+  with_ingest_dir (fun ~prefix ->
       let cfg =
         {
-          (ingest_cfg ~merge_interval_ms:300.0 ~write_lane:8 ~snap ~wal ()) with
+          (ingest_cfg ~merge_interval_ms:300.0 ~write_lane:8 ~prefix ()) with
           Server.workers = 4;
           queue_depth = 64;
           max_connections = 256;
@@ -1296,10 +1346,10 @@ let test_ingest_chaos_soak () =
           in
           (* Staleness monitor: sample the gauge through the soak. *)
           let max_staleness = Atomic.make 0.0 in
+          let corpus = Option.get (Server.corpus srv) in
           let monitor () =
-            let store = Option.get (Server.ingest_store srv) in
             while running () do
-              let s = Ingest.staleness_ms store in
+              let s = Corpus.staleness_ms corpus 0 in
               if s > Atomic.get max_staleness then Atomic.set max_staleness s;
               Unix.sleepf 0.05
             done
@@ -1322,9 +1372,8 @@ let test_ingest_chaos_soak () =
           let c = connect port in
           let status, _ = request_exn c "MERGE" in
           check_string "quiescing merge" "OK" (Protocol.status_to_string status);
-          let store = Option.get (Server.ingest_store srv) in
-          check_int "no deltas after the quiescing merge" 0 (Ingest.unmerged_records store);
-          check_bool "staleness returns to zero" true (Ingest.staleness_ms store = 0.0);
+          check_int "no deltas after the quiescing merge" 0 (Corpus.merge_backlog corpus 0);
+          check_bool "staleness returns to zero" true (Corpus.staleness_ms corpus 0 = 0.0);
           (* Staleness stayed bounded while the merge domain was under
              fault injection: well under the soak length, and within a
              modest multiple of the merge interval + the write burst. *)
@@ -1333,7 +1382,7 @@ let test_ingest_chaos_soak () =
           (* Every certainly-acked write present with its last content;
              every certainly-acked delete absent — unless a later
              outcome for that id was ambiguous. *)
-          let docs = Ingest.docs (Result.get_ok (Ingest.of_env (Server.ingest_store srv |> Option.get |> Ingest.store_env))) in
+          let docs = Ingest.docs (Result.get_ok (Ingest.of_env (Corpus.scoring_env corpus))) in
           let served_tbl = Hashtbl.create 64 in
           List.iter (fun (id, tree) -> Hashtbl.replace served_tbl id tree) docs;
           Array.iter
@@ -1361,7 +1410,6 @@ let test_ingest_chaos_soak () =
           (* Merge-equivalence at full scale: the incrementally grown,
              fault-injected, merged corpus must answer byte-identically
              to an offline rebuild of the same documents. *)
-          let live_env = Ingest.store_env store in
           let rebuilt =
             match Ingest.of_docs docs with
             | Ok c -> Ingest.env c
@@ -1374,15 +1422,28 @@ let test_ingest_chaos_soak () =
               | Ok query ->
                 List.iter
                   (fun algorithm ->
-                    let run env =
-                      match Flexpath.run ~algorithm env ~k:5 query with
-                      | Ok r -> fingerprint r.Flexpath.Common.answers
+                    let offline =
+                      match Flexpath.run ~algorithm rebuilt ~k:5 query with
+                      | Ok r ->
+                        fingerprint
+                          (List.map
+                             (fun (a : Flexpath.Answer.t) -> (a.node, a.sscore, a.kscore))
+                             r.Flexpath.Common.answers)
+                      | Error e -> Alcotest.fail (Error.to_string e)
+                    in
+                    let served =
+                      match Corpus.query corpus ~use_cache:false ~algorithm ~k:5 query with
+                      | Ok r ->
+                        fingerprint
+                          (List.map
+                             (fun (a : Corpus.answer) -> (a.a_node, a.a_sscore, a.a_kscore))
+                             r.Corpus.answers)
                       | Error e -> Alcotest.fail (Error.to_string e)
                     in
                     check_string
                       (Printf.sprintf "offline rebuild equivalence (%s)"
                          (Flexpath.algorithm_to_string algorithm))
-                      (run rebuilt) (run live_env))
+                      offline served)
                   [ Flexpath.DPO; Flexpath.SSO; Flexpath.Hybrid ])
             [
               "//article[.contains(\"xml\" and \"soak\")]";
@@ -1408,11 +1469,9 @@ let test_ingest_chaos_soak () =
    wire contract under shard loss, and write-lane retry hints that
    reflect the routed shard's merge backlog. *)
 
-module Corpus = Flexpath.Corpus
-
 let shard_cfg ?(merge_interval_ms = 0.0) ?(write_lane = 4) ?(shards = 3) ?(replicas = 1)
     ?probation_ms ~prefix () =
-  let d = Server.ingest_defaults ~wal:"" in
+  let d = Server.ingest_defaults in
   {
     Server.default_config with
     workers = 2;
@@ -1428,12 +1487,6 @@ let shard_cfg ?(merge_interval_ms = 0.0) ?(write_lane = 4) ?(shards = 3) ?(repli
           probation_ms = Option.value probation_ms ~default:d.Server.probation_ms;
         };
   }
-
-let with_shard_dir f =
-  let dir = Filename.temp_file "flexpath_shard_srv" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f ~prefix:(Filename.concat dir "corpus"))
 
 (* An id that the 3-shard router places on [shard]. *)
 let id_on ?(shards = 3) shard =
@@ -1454,7 +1507,7 @@ let shard_article i =
     i
 
 let test_shard_wire () =
-  with_shard_dir (fun ~prefix ->
+  with_ingest_dir (fun ~prefix ->
       with_server ~cfg:(shard_cfg ~prefix ()) (placeholder_env ()) (fun srv ->
           let c = connect (Server.port srv) in
           (* Writes route by id; the ack names the shard and the
@@ -1508,7 +1561,7 @@ let test_shard_wire () =
           close c))
 
 let test_shard_loss_partial_wire () =
-  with_shard_dir (fun ~prefix ->
+  with_ingest_dir (fun ~prefix ->
       with_server ~cfg:(shard_cfg ~prefix ()) (placeholder_env ()) (fun srv ->
           let c = connect (Server.port srv) in
           for i = 0 to 8 do
@@ -1565,7 +1618,7 @@ let test_shard_loss_partial_wire () =
           close c))
 
 let test_shard_corrupt_at_load () =
-  with_shard_dir (fun ~prefix ->
+  with_ingest_dir (fun ~prefix ->
       (* Build a merged 3-shard corpus, then stop the server. *)
       with_server ~cfg:(shard_cfg ~prefix ()) (placeholder_env ()) (fun srv ->
           let c = connect (Server.port srv) in
@@ -1605,7 +1658,7 @@ let test_shard_corrupt_at_load () =
           close c))
 
 let test_shard_write_hint_tracks_backlog () =
-  with_shard_dir (fun ~prefix ->
+  with_ingest_dir (fun ~prefix ->
       with_server
         ~cfg:(shard_cfg ~shards:2 ~write_lane:0 ~prefix ())
         (placeholder_env ())
@@ -1648,7 +1701,7 @@ let test_shard_write_hint_tracks_backlog () =
    COMPLETE, and the READONLY disk-fault degrade with its retry hint
    and recovery. *)
 let test_replica_wire () =
-  with_shard_dir (fun ~prefix ->
+  with_ingest_dir (fun ~prefix ->
       with_server
         ~cfg:(shard_cfg ~shards:2 ~replicas:2 ~probation_ms:400.0 ~prefix ())
         (placeholder_env ())
@@ -1741,7 +1794,7 @@ let test_replica_wire () =
    probation; an anonymous INGEST fails fast — never auto-resent, since
    a resend dying mid-flight after recovery could double-ingest. *)
 let test_client_readonly_policy () =
-  with_shard_dir (fun ~prefix ->
+  with_ingest_dir (fun ~prefix ->
       with_server
         ~cfg:(shard_cfg ~shards:1 ~replicas:2 ~probation_ms:250.0 ~prefix ())
         (placeholder_env ())
