@@ -33,26 +33,6 @@ let keywords e =
   go e;
   List.rev !out
 
-let positive_keywords e =
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
-  let add w =
-    if not (Hashtbl.mem seen w) then begin
-      Hashtbl.add seen w ();
-      out := w :: !out
-    end
-  in
-  let rec go pos = function
-    | Term w -> if pos then add w
-    | And (a, b) | Or (a, b) ->
-      go pos a;
-      go pos b
-    | Not a -> go (not pos) a
-    | Phrase ws | Window (_, ws) -> if pos then List.iter add ws
-  in
-  go true e;
-  List.rev !out
-
 let rec is_positive = function
   | Term _ | Phrase _ | Window _ -> true
   | And (a, b) | Or (a, b) -> is_positive a && is_positive b

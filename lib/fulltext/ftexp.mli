@@ -5,17 +5,28 @@
     an element when the element's subtree text satisfies it.  Supported
     forms: keywords (stemmed), conjunction, disjunction, negation,
     phrases and proximity windows — "as complex as an IR engine can
-    handle" per the paper. *)
+    handle" per the paper.
+
+    Evaluation ({!Index.compile}) skips stopwords as indexing does: they
+    are dropped from every word list, and token positions count indexed
+    (non-stopword) tokens only.  The values below keep the words as
+    written; printing and parsing round-trip them unchanged. *)
 
 type t =
-  | Term of string  (** A single keyword, matched after stemming. *)
+  | Term of string
+      (** A single keyword, matched after stemming.  A stopword never
+          matches. *)
   | And of t * t
   | Or of t * t
   | Not of t  (** Satisfied when the operand is not. *)
-  | Phrase of string list  (** Consecutive tokens, in order. *)
+  | Phrase of string list
+      (** Consecutive indexed tokens, in order, stopwords skipped:
+          ["state of the art"] matches as ["state art"].  A phrase of
+          stopwords only never matches. *)
   | Window of int * string list
-      (** [Window (n, ws)]: all of [ws] occur within some span of [n]
-          consecutive tokens, in any order. *)
+      (** [Window (n, ws)]: all non-stopwords of [ws] occur within some
+          span of [n] consecutive indexed tokens, in any order.  A window
+          of stopwords only never matches. *)
 
 val term : string -> t
 val ( &&& ) : t -> t -> t
@@ -26,10 +37,6 @@ val window : int -> string list -> t
 
 val keywords : t -> string list
 (** All keywords mentioned, in first-occurrence order, unstemmed. *)
-
-val positive_keywords : t -> string list
-(** Keywords not under a [Not] — the terms whose occurrences can
-    contribute evidence to a match. *)
 
 val is_positive : t -> bool
 (** [true] when the expression contains no [Not]: satisfaction is then

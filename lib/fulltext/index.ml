@@ -6,17 +6,17 @@ module Tag = Xmldom.Tag
    / average scope length and normalizes by this document's root score,
    but a sharded corpus needs every shard to score against the counts
    of the WHOLE corpus or per-shard answers diverge from a single
-   combined index.  The overlay carries exactly the four global inputs
+   combined index.  The overlay carries exactly the global inputs
    scoring consumes; everything element-local (occurrences, ranges,
-   satisfaction) stays with the shard. *)
+   satisfaction) stays with the shard.  Immutable once built. *)
 type overlay = {
   ov_n_tokens : int;
   ov_avg_scope_len : float;
-  ov_gdf : string -> int; (* word -> corpus-wide occurrence count (stems inside) *)
-  ov_root_raw : Ftexp.t -> float; (* raw score of the virtual corpus root *)
+  ov_gdf : (string, int) Hashtbl.t; (* stemmed term -> corpus-wide occurrence count *)
+  ov_shards : t list; (* for the virtual corpus root's phrase and window checks *)
 }
 
-type t = {
+and t = {
   doc : Doc.t;
   term_ids : (string, int) Hashtbl.t; (* stemmed term -> tid *)
   postings : int array array; (* tid -> sorted token positions *)
@@ -311,13 +311,9 @@ let scorer idx = idx.scorer
 let n_tokens idx = idx.n_tokens
 let distinct_terms idx = Array.length idx.postings
 
-let tid_opt idx w = Hashtbl.find_opt idx.term_ids (Stemmer.stem w)
-
-let term_positions idx w =
-  match tid_opt idx w with
-  | None -> [||]
-  | Some tid -> idx.postings.(tid)
-
+let tid_of_stem idx stem = Option.value ~default:(-1) (Hashtbl.find_opt idx.term_ids stem)
+let postings_of idx tid = if tid < 0 then [||] else idx.postings.(tid)
+let term_positions idx w = postings_of idx (tid_of_stem idx (Stemmer.stem w))
 let tok_range idx e = (idx.tok_start.(e), idx.tok_end.(e))
 
 (* Index of the first element of [a] that is >= x, in [0 .. length a]. *)
@@ -329,193 +325,299 @@ let lower_bound a x =
   done;
   !lo
 
-let count_in_range a lo hi =
-  if hi <= lo then 0 else lower_bound a hi - lower_bound a lo
+let count_in_range a lo hi = if hi <= lo then 0 else lower_bound a hi - lower_bound a lo
 
-let occurrences idx w lo hi = count_in_range (term_positions idx w) lo hi
+let occurs_in_range a lo hi =
+  let i = lower_bound a lo in
+  i < Array.length a && a.(i) < hi
 
-let phrase_at idx ws =
-  (* Precompute term ids; None means a word absent from the index. *)
-  match
-    List.fold_right
-      (fun w acc ->
-        match (acc, tid_opt idx w) with
-        | Some tids, Some tid -> Some (tid :: tids)
-        | _ -> None)
-      ws (Some [])
-  with
-  | None -> None
-  | Some tids -> Some (Array.of_list tids)
+(* [tids] occur consecutively somewhere in [lo, hi); [first] is the
+   posting list of [tids.(0)], or [||] when some word is not indexed. *)
+let phrase_in_range idx tids first lo hi =
+  let k = Array.length tids in
+  let rec try_pos i =
+    i < Array.length first
+    &&
+    let p = first.(i) in
+    p + k <= hi
+    &&
+    let rec all j = j = k || (idx.tok_term.(p + j) = tids.(j) && all (j + 1)) in
+    all 1 || try_pos (i + 1)
+  in
+  try_pos (lower_bound first lo)
 
-let phrase_in_range idx ws lo hi =
-  match phrase_at idx ws with
-  | None -> false
-  | Some tids ->
-    let k = Array.length tids in
-    if k = 0 then false
-    else begin
-      let first = idx.postings.(tids.(0)) in
-      let start = lower_bound first lo in
-      let rec try_pos i =
-        if i >= Array.length first then false
-        else
-          let p = first.(i) in
-          if p + k > hi then false
-          else begin
-            let rec all j = j = k || (idx.tok_term.(p + j) = tids.(j) && all (j + 1)) in
-            if all 1 then true else try_pos (i + 1)
-          end
-      in
-      try_pos start
-    end
-
-let window_in_range idx width ws lo hi =
-  let lists = List.map (fun w -> term_positions idx w) ws in
-  if List.exists (fun a -> Array.length a = 0) lists then false
-  else begin
-    let lists = Array.of_list lists in
-    let k = Array.length lists in
-    let ptr = Array.map (fun a -> lower_bound a lo) lists in
-    let in_bounds i = ptr.(i) < Array.length lists.(i) && lists.(i).(ptr.(i)) < hi in
-    let rec go () =
-      if not (Array.for_all Fun.id (Array.init k in_bounds)) then false
-      else begin
-        let min_i = ref 0 and min_p = ref max_int and max_p = ref min_int in
-        for i = 0 to k - 1 do
-          let p = lists.(i).(ptr.(i)) in
-          if p < !min_p then begin
-            min_p := p;
-            min_i := i
-          end;
-          if p > !max_p then max_p := p
-        done;
-        if !max_p - !min_p < width then true
-        else begin
-          ptr.(!min_i) <- ptr.(!min_i) + 1;
-          go ()
-        end
-      end
-    in
-    go ()
-  end
-
-let rec satisfies_range idx f lo hi =
-  match f with
-  | Ftexp.Term w -> occurrences idx w lo hi > 0
-  | Ftexp.And (a, b) -> satisfies_range idx a lo hi && satisfies_range idx b lo hi
-  | Ftexp.Or (a, b) -> satisfies_range idx a lo hi || satisfies_range idx b lo hi
-  | Ftexp.Not a -> not (satisfies_range idx a lo hi)
-  | Ftexp.Phrase ws -> phrase_in_range idx ws lo hi
-  | Ftexp.Window (width, ws) -> window_in_range idx width ws lo hi
-
-let satisfies idx f e = satisfies_range idx f idx.tok_start.(e) idx.tok_end.(e)
-
-module Int_set = Set.Make (Int)
-
-(* Candidate elements for a positive expression: owners of occurrences of
-   positive keywords, plus all their ancestors. *)
-let positive_candidates idx f =
-  let words = Ftexp.positive_keywords f in
-  let acc = ref Int_set.empty in
-  List.iter
-    (fun w ->
-      Array.iter
-        (fun pos ->
-          let e = idx.tok_owner.(pos) in
-          if not (Int_set.mem e !acc) then begin
-            acc := Int_set.add e !acc;
-            List.iter
-              (fun a -> acc := Int_set.add a !acc)
-              (Doc.ancestors idx.doc e)
-          end)
-        (term_positions idx w))
-    words;
-  !acc
-
-let all_satisfying idx f =
-  if Ftexp.is_positive f then
-    Int_set.elements (positive_candidates idx f) |> List.filter (fun e -> satisfies idx f e)
-  else begin
-    let out = ref [] in
-    for e = Doc.size idx.doc - 1 downto 0 do
-      if satisfies idx f e then out := e :: !out
+(* Every list has a position in [lo, hi), all within a span of [width]
+   tokens: advance the pointer of the smallest position until the span
+   fits or some list runs out of the range. *)
+let window_in_range width lists lo hi =
+  let k = Array.length lists in
+  let ptr = Array.map (fun a -> lower_bound a lo) lists in
+  let rec go () =
+    let in_range = ref true in
+    for i = 0 to k - 1 do
+      if not (ptr.(i) < Array.length lists.(i) && lists.(i).(ptr.(i)) < hi) then in_range := false
     done;
-    !out
-  end
+    !in_range
+    &&
+    let min_i = ref 0 and min_p = ref max_int and max_p = ref min_int in
+    for i = 0 to k - 1 do
+      let p = lists.(i).(ptr.(i)) in
+      if p < !min_p then begin
+        min_p := p;
+        min_i := i
+      end;
+      if p > !max_p then max_p := p
+    done;
+    !max_p - !min_p < width
+    ||
+    begin
+      ptr.(!min_i) <- ptr.(!min_i) + 1;
+      go ()
+    end
+  in
+  go ()
 
-let most_specific idx f =
-  let sat = Array.of_list (all_satisfying idx f) in
+(* ------------------------------------------------------------------ *)
+(* Compiled expressions.
+
+   [compile] analyses an expression once against one scoring view:
+   stopwords are dropped, keywords stemmed and resolved to posting
+   lists, each term's scoring df taken (from the overlay when there is
+   one) and turned into a {!Scorer.term_weight}, and the normalization
+   denominator — the raw score at the (virtual) root — computed.  What
+   remains per element is range arithmetic on posting lists.  Every
+   float is produced by the same operations, in the same order, as the
+   per-call formulas it replaces, so scores keep their bits. *)
+
+type node =
+  | Never (* a stopword, or a phrase or window of stopwords only *)
+  | Term of { post : int array; df : int; weight : Scorer.term_weight }
+  | Phrase of {
+      tids : int array;
+      first : int array; (* postings of tids.(0); [||] when a word is not indexed *)
+      weights : Scorer.term_weight array;
+      at_root : bool;
+    }
+  | Window of {
+      width : int;
+      lists : int array array;
+      weights : Scorer.term_weight array;
+      at_root : bool;
+    }
+  | And of node * node
+  | Or of node * node
+  | Not of node
+
+type compiled = {
+  idx : t;
+  node : node;
+  positive : bool; (* no [Not]: satisfaction is closed under ancestors *)
+  occurrences : int array list; (* postings that anchor every match of a positive expression *)
+  denom : float;
+}
+
+let rec holds_in idx node lo hi =
+  match node with
+  | Never -> false
+  | Term { post; _ } -> occurs_in_range post lo hi
+  | Phrase { tids; first; _ } -> phrase_in_range idx tids first lo hi
+  | Window { width; lists; _ } -> window_in_range width lists lo hi
+  | And (a, b) -> holds_in idx a lo hi && holds_in idx b lo hi
+  | Or (a, b) -> holds_in idx a lo hi || holds_in idx b lo hi
+  | Not a -> not (holds_in idx a lo hi)
+
+(* Evidence of the words of a satisfied phrase or window: each counts
+   once, in expression order. *)
+let unit_evidence weights scope_len =
+  Array.fold_left (fun acc w -> acc +. Scorer.evidence w ~tf:1 ~scope_len) 0.0 weights
+
+let rec raw_in idx node lo hi =
+  match node with
+  | Never -> 0.0
+  | Term { post; weight; _ } ->
+    let c = count_in_range post lo hi in
+    if c = 0 then 0.0 else Scorer.evidence weight ~tf:c ~scope_len:(hi - lo)
+  | Phrase { weights; _ } | Window { weights; _ } ->
+    if holds_in idx node lo hi then unit_evidence weights (hi - lo) else 0.0
+  | And (a, b) ->
+    if holds_in idx a lo hi && holds_in idx b lo hi then raw_in idx a lo hi +. raw_in idx b lo hi
+    else 0.0
+  | Or (a, b) ->
+    let sa = raw_in idx a lo hi and sb = raw_in idx b lo hi in
+    if holds_in idx a lo hi || holds_in idx b lo hi then
+      Float.max sa sb +. (0.25 *. Float.min sa sb)
+    else 0.0
+  | Not a -> if holds_in idx a lo hi then 0.0 else 1.0
+
+(* The same recursion at the root of the scoring view — the view's
+   document root, or with an overlay the virtual root over every
+   shard, whose scope is all [n_tokens] tokens.  A term's occurrences
+   there are its df; a phrase or window holds there when it holds at
+   some shard root ([at_root], resolved by [compile]). *)
+let rec holds_at_root = function
+  | Never -> false
+  | Term { df; _ } -> df > 0
+  | Phrase { at_root; _ } | Window { at_root; _ } -> at_root
+  | And (a, b) -> holds_at_root a && holds_at_root b
+  | Or (a, b) -> holds_at_root a || holds_at_root b
+  | Not a -> not (holds_at_root a)
+
+let rec raw_at_root n_tokens node =
+  match node with
+  | Never -> 0.0
+  | Term { df; weight; _ } ->
+    if df = 0 then 0.0 else Scorer.evidence weight ~tf:df ~scope_len:n_tokens
+  | Phrase { weights; _ } | Window { weights; _ } ->
+    if holds_at_root node then unit_evidence weights n_tokens else 0.0
+  | And (a, b) ->
+    if holds_at_root a && holds_at_root b then raw_at_root n_tokens a +. raw_at_root n_tokens b
+    else 0.0
+  | Or (a, b) ->
+    let sa = raw_at_root n_tokens a and sb = raw_at_root n_tokens b in
+    if holds_at_root a || holds_at_root b then Float.max sa sb +. (0.25 *. Float.min sa sb)
+    else 0.0
+  | Not a -> if holds_at_root a then 0.0 else 1.0
+
+let gdf ov stem = Option.value ~default:0 (Hashtbl.find_opt ov.ov_gdf stem)
+
+let compile idx f =
+  let n_tokens, avg_scope_len, roots =
+    match idx.overlay with
+    | None -> (idx.n_tokens, idx.avg_scope_len, [ idx ])
+    | Some ov -> (ov.ov_n_tokens, ov.ov_avg_scope_len, ov.ov_shards)
+  in
+  (* A keyword's scoring df: its local count, or the corpus-wide one. *)
+  let scoring_df stem post =
+    match idx.overlay with None -> Array.length post | Some ov -> gdf ov stem
+  in
+  let weight stem =
+    let df = scoring_df stem (postings_of idx (tid_of_stem idx stem)) in
+    Scorer.term_weight idx.scorer ~df ~n_tokens ~avg_scope_len
+  in
+  let phrase_of s stems =
+    let tids = Array.map (tid_of_stem s) stems in
+    (tids, if Array.exists (fun tid -> tid < 0) tids then [||] else s.postings.(tids.(0)))
+  in
+  let lists_of s stems = Array.map (fun stem -> postings_of s (tid_of_stem s stem)) stems in
+  let holds_at_some_root check =
+    List.exists (fun s -> check s (tok_range s (Doc.root s.doc))) roots
+  in
+  let occurrences = ref [] in
+  let anchor post = occurrences := post :: !occurrences in
+  let kept ws = List.filter (fun w -> not (Stopwords.is_stopword w)) ws in
+  let stems ws = Array.of_list (List.map Stemmer.stem (kept ws)) in
+  let rec go = function
+    | Ftexp.Term w when Stopwords.is_stopword w -> Never
+    | Ftexp.Term w ->
+      let stem = Stemmer.stem w in
+      let post = postings_of idx (tid_of_stem idx stem) in
+      anchor post;
+      Term { post; df = scoring_df stem post; weight = weight stem }
+    | Ftexp.Phrase ws -> (
+      match stems ws with
+      | [||] -> Never
+      | stems ->
+        let tids, first = phrase_of idx stems in
+        anchor first;
+        let at_root =
+          holds_at_some_root (fun s (lo, hi) ->
+              let tids, first = phrase_of s stems in
+              phrase_in_range s tids first lo hi)
+        in
+        Phrase { tids; first; weights = Array.map weight stems; at_root })
+    | Ftexp.Window (width, ws) -> (
+      match stems ws with
+      | [||] -> Never
+      | stems ->
+        let lists = lists_of idx stems in
+        Array.iter anchor lists;
+        let at_root =
+          holds_at_some_root (fun s (lo, hi) -> window_in_range width (lists_of s stems) lo hi)
+        in
+        Window { width; lists; weights = Array.map weight stems; at_root })
+    | Ftexp.And (a, b) ->
+      let a = go a in
+      And (a, go b)
+    | Ftexp.Or (a, b) ->
+      let a = go a in
+      Or (a, go b)
+    | Ftexp.Not a -> Not (go a)
+  in
+  let node = go f in
+  let denom = if holds_at_root node then raw_at_root n_tokens node else 0.0 in
+  { idx; node; positive = Ftexp.is_positive f; occurrences = !occurrences; denom }
+
+let holds c e = holds_in c.idx c.node c.idx.tok_start.(e) c.idx.tok_end.(e)
+
+let raw c e =
+  let lo = c.idx.tok_start.(e) and hi = c.idx.tok_end.(e) in
+  if holds_in c.idx c.node lo hi then raw_in c.idx c.node lo hi else 0.0
+
+let score c e =
+  if c.denom <= 0.0 then if holds c e then 1.0 else 0.0
+  else Float.min 1.0 (raw c e /. c.denom)
+
+(* Elements that may satisfy a positive expression: owners of the
+   anchoring occurrences and all their ancestors.  One pass over the
+   occurrences; each upward walk stops at the first element already
+   marked, whose ancestors are then marked too. *)
+let positive_candidates c =
+  let parents = Doc.parents c.idx.doc in
+  let marked = Bytes.make (Doc.size c.idx.doc) '\000' in
+  List.iter
+    (Array.iter (fun pos ->
+         let e = ref c.idx.tok_owner.(pos) in
+         while !e >= 0 && Bytes.get marked !e = '\000' do
+           Bytes.set marked !e '\001';
+           e := parents.(!e)
+         done))
+    c.occurrences;
+  marked
+
+let satisfying c =
+  let candidate =
+    if c.positive then
+      let marked = positive_candidates c in
+      fun e -> Bytes.get marked e <> '\000'
+    else fun _ -> true
+  in
+  let out = ref [] in
+  for e = Doc.size c.idx.doc - 1 downto 0 do
+    if candidate e && holds c e then out := e :: !out
+  done;
+  !out
+
+let minimal c =
+  let sat = Array.of_list (satisfying c) in
   let n = Array.length sat in
   let keep = ref [] in
   (* sat is sorted by pre; e is minimal iff the next satisfying element
      after it does not lie in its subtree. *)
   for i = n - 1 downto 0 do
     let e = sat.(i) in
-    let minimal = i + 1 >= n || sat.(i + 1) >= Doc.subtree_end idx.doc e in
+    let minimal = i + 1 >= n || sat.(i + 1) >= Doc.subtree_end c.idx.doc e in
     if minimal then keep := e :: !keep
   done;
   !keep
 
-let term_evidence idx w ~tf lo hi =
-  match idx.overlay with
-  | None ->
-    let df = Array.length (term_positions idx w) in
-    Scorer.term_score idx.scorer ~tf ~df ~n_tokens:idx.n_tokens ~scope_len:(hi - lo)
-      ~avg_scope_len:idx.avg_scope_len
-  | Some ov ->
-    Scorer.term_score idx.scorer ~tf ~df:(ov.ov_gdf w) ~n_tokens:ov.ov_n_tokens
-      ~scope_len:(hi - lo) ~avg_scope_len:ov.ov_avg_scope_len
+let count_tagged c tag =
+  Array.fold_left (fun acc e -> if holds c e then acc + 1 else acc) 0 (Doc.by_tag c.idx.doc tag)
 
-let rec raw_score_range idx f lo hi =
-  match f with
-  | Ftexp.Term w ->
-    let c = occurrences idx w lo hi in
-    if c = 0 then 0.0 else term_evidence idx w ~tf:c lo hi
-  | Ftexp.And (a, b) ->
-    if satisfies_range idx a lo hi && satisfies_range idx b lo hi then
-      raw_score_range idx a lo hi +. raw_score_range idx b lo hi
-    else 0.0
-  | Ftexp.Or (a, b) ->
-    let sa = raw_score_range idx a lo hi and sb = raw_score_range idx b lo hi in
-    if satisfies_range idx a lo hi || satisfies_range idx b lo hi then Float.max sa sb +. (0.25 *. Float.min sa sb)
-    else 0.0
-  | Ftexp.Not a -> if satisfies_range idx a lo hi then 0.0 else 1.0
-  | Ftexp.Phrase ws ->
-    if phrase_in_range idx ws lo hi then
-      List.fold_left (fun acc w -> acc +. term_evidence idx w ~tf:1 lo hi) 0.0 ws
-    else 0.0
-  | Ftexp.Window (width, ws) ->
-    if window_in_range idx width ws lo hi then
-      List.fold_left (fun acc w -> acc +. term_evidence idx w ~tf:1 lo hi) 0.0 ws
-    else 0.0
-
-let raw_score idx f e =
-  let lo, hi = tok_range idx e in
-  if satisfies_range idx f lo hi then raw_score_range idx f lo hi else 0.0
-
-let normalized_score idx f e =
-  let denom =
-    match idx.overlay with
-    | None -> raw_score idx f (Doc.root idx.doc)
-    | Some ov -> ov.ov_root_raw f
-  in
-  if denom <= 0.0 then if satisfies idx f e then 1.0 else 0.0
-  else Float.min 1.0 (raw_score idx f e /. denom)
+let satisfies idx f e = holds (compile idx f) e
+let raw_score idx f e = raw (compile idx f) e
+let normalized_score idx f e = score (compile idx f) e
+let all_satisfying idx f = satisfying (compile idx f)
+let most_specific idx f = minimal (compile idx f)
+let count_satisfying_with_tag idx f tag = count_tagged (compile idx f) tag
 
 let matches idx f =
-  let nodes = most_specific idx f in
-  let scored = List.map (fun e -> (e, raw_score idx f e)) nodes in
+  let c = compile idx f in
+  let scored = List.map (fun e -> (e, raw c e)) (minimal c) in
   let max_raw = List.fold_left (fun acc (_, s) -> Float.max acc s) 0.0 scored in
   let norm = if max_raw <= 0.0 then fun s -> s else fun s -> s /. max_raw in
   List.map (fun (e, s) -> (e, norm s)) scored
   |> List.sort (fun (e1, s1) (e2, s2) ->
          match Float.compare s2 s1 with 0 -> Int.compare e1 e2 | c -> c)
-
-let count_satisfying_with_tag idx f tag =
-  Array.fold_left
-    (fun acc e -> if satisfies idx f e then acc + 1 else acc)
-    0
-    (Doc.by_tag idx.doc tag)
 
 (* ------------------------------------------------------------------ *)
 (* Overlay construction: corpus-global scoring over shard-local indexes.
@@ -528,13 +630,13 @@ let count_satisfying_with_tag idx f tag =
    - the average scope length is additive up to one correction: each
      shard's synthetic root is a text-bearing scope of its own, where
      the combined document has a single root covering all tokens;
-   - the root raw score (the normalization denominator) is recomputed
-     by the [raw_score_range] recursion over the virtual global root:
-     leaves (terms, phrases, windows) are evaluated per shard and
-     summed / OR-ed, boolean structure is composed globally — so an
-     [And] satisfied by two different shards is satisfied at the global
-     root even though no single shard satisfies it, exactly as the
-     combined index would see it.
+   - the root raw score (the normalization denominator) is computed by
+     [compile] over the virtual global root: term leaves take the
+     global df, phrase and window leaves hold when they hold at some
+     shard root, boolean structure is composed globally — so an [And]
+     satisfied by two different shards is satisfied at the global root
+     even though no single shard satisfies it, exactly as the combined
+     index would see it.
 
    One caveat is inherent to sharding: a phrase or window whose match
    straddles two shard documents' token ranges is visible to a combined
@@ -554,91 +656,32 @@ let scope_stats idx =
   (!text_bearing, !total_len)
 
 let overlay_of idxs =
-  match idxs with
-  | [] -> invalid_arg "Index.overlay_of: at least one index required"
-  | first :: _ ->
-    let scorer = first.scorer in
-    let ov_n_tokens = List.fold_left (fun acc i -> acc + i.n_tokens) 0 idxs in
-    let gdf_tbl : (string, int) Hashtbl.t = Hashtbl.create 4096 in
-    List.iter
-      (fun idx ->
-        Hashtbl.iter
-          (fun term tid ->
-            let c = Array.length idx.postings.(tid) in
-            if c > 0 then
-              Hashtbl.replace gdf_tbl term
-                (c + Option.value ~default:0 (Hashtbl.find_opt gdf_tbl term)))
-          idx.term_ids)
-      idxs;
-    let ov_gdf w = Option.value ~default:0 (Hashtbl.find_opt gdf_tbl (Stemmer.stem w)) in
-    (* Each shard root is one text-bearing scope spanning that shard's
-       tokens; the combined document has a single such root. *)
-    let tb, tl =
-      List.fold_left
-        (fun (tb, tl) idx ->
-          let b, l = scope_stats idx in
-          ((tb + b) - (if idx.n_tokens > 0 then 1 else 0), tl + l - idx.n_tokens))
-        (0, 0) idxs
-    in
-    let tb = tb + (if ov_n_tokens > 0 then 1 else 0) and tl = tl + ov_n_tokens in
-    let ov_avg_scope_len = if tb = 0 then 0.0 else float_of_int tl /. float_of_int tb in
-    let g_evidence w ~tf =
-      Scorer.term_score scorer ~tf ~df:(ov_gdf w) ~n_tokens:ov_n_tokens ~scope_len:ov_n_tokens
-        ~avg_scope_len:ov_avg_scope_len
-    in
-    let at_root idx pred =
-      let lo, hi = tok_range idx (Doc.root idx.doc) in
-      pred idx lo hi
-    in
-    let rec g_sat f =
-      match f with
-      | Ftexp.Term w -> ov_gdf w > 0
-      | Ftexp.And (a, b) -> g_sat a && g_sat b
-      | Ftexp.Or (a, b) -> g_sat a || g_sat b
-      | Ftexp.Not a -> not (g_sat a)
-      | Ftexp.Phrase ws ->
-        List.exists (fun idx -> at_root idx (fun i lo hi -> phrase_in_range i ws lo hi)) idxs
-      | Ftexp.Window (width, ws) ->
-        List.exists
-          (fun idx -> at_root idx (fun i lo hi -> window_in_range i width ws lo hi))
-          idxs
-    in
-    let rec g_raw f =
-      match f with
-      | Ftexp.Term w ->
-        let c = ov_gdf w in
-        if c = 0 then 0.0 else g_evidence w ~tf:c
-      | Ftexp.And (a, b) -> if g_sat a && g_sat b then g_raw a +. g_raw b else 0.0
-      | Ftexp.Or (a, b) ->
-        let sa = g_raw a and sb = g_raw b in
-        if g_sat a || g_sat b then Float.max sa sb +. (0.25 *. Float.min sa sb) else 0.0
-      | Ftexp.Not a -> if g_sat a then 0.0 else 1.0
-      | Ftexp.Phrase ws ->
-        if g_sat f then List.fold_left (fun acc w -> acc +. g_evidence w ~tf:1) 0.0 ws else 0.0
-      | Ftexp.Window (_, ws) ->
-        if g_sat f then List.fold_left (fun acc w -> acc +. g_evidence w ~tf:1) 0.0 ws else 0.0
-    in
-    (* Memoized: the denominator is consulted once per (answer,
-       predicate) pair on the scoring hot path, and worker domains share
-       one overlay per published corpus view. *)
-    let memo : (Ftexp.t, float) Hashtbl.t = Hashtbl.create 64 in
-    let memo_lock = Mutex.create () in
-    let ov_root_raw f =
-      Mutex.lock memo_lock;
-      match Hashtbl.find_opt memo f with
-      | Some v ->
-        Mutex.unlock memo_lock;
-        v
-      | None ->
-        Mutex.unlock memo_lock;
-        let v = if g_sat f then g_raw f else 0.0 in
-        Mutex.lock memo_lock;
-        Hashtbl.replace memo f v;
-        Mutex.unlock memo_lock;
-        v
-    in
-    { ov_n_tokens; ov_avg_scope_len; ov_gdf; ov_root_raw }
+  if List.is_empty idxs then invalid_arg "Index.overlay_of: at least one index required";
+  let ov_n_tokens = List.fold_left (fun acc i -> acc + i.n_tokens) 0 idxs in
+  let ov_gdf : (string, int) Hashtbl.t = Hashtbl.create 4096 in
+  List.iter
+    (fun idx ->
+      Hashtbl.iter
+        (fun term tid ->
+          let c = Array.length idx.postings.(tid) in
+          if c > 0 then
+            Hashtbl.replace ov_gdf term
+              (c + Option.value ~default:0 (Hashtbl.find_opt ov_gdf term)))
+        idx.term_ids)
+    idxs;
+  (* Each shard root is one text-bearing scope spanning that shard's
+     tokens; the combined document has a single such root. *)
+  let tb, tl =
+    List.fold_left
+      (fun (tb, tl) idx ->
+        let b, l = scope_stats idx in
+        ((tb + b) - (if idx.n_tokens > 0 then 1 else 0), tl + l - idx.n_tokens))
+      (0, 0) idxs
+  in
+  let tb = tb + (if ov_n_tokens > 0 then 1 else 0) and tl = tl + ov_n_tokens in
+  let ov_avg_scope_len = if tb = 0 then 0.0 else float_of_int tl /. float_of_int tb in
+  { ov_n_tokens; ov_avg_scope_len; ov_gdf; ov_shards = idxs }
 
 let with_overlay idx ov = { idx with overlay = Some ov }
 let overlay_n_tokens ov = ov.ov_n_tokens
-let overlay_df ov w = ov.ov_gdf w
+let overlay_df ov w = gdf ov (Stemmer.stem w)

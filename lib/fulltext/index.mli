@@ -5,9 +5,13 @@
     assigns each indexed token a globally increasing position, so the
     tokens of any element's subtree form a contiguous position range
     [tok_range].  [contains(e, f)] then reduces to range queries on
-    posting lists.  Stopwords are not indexed (positions are assigned
-    only to indexed tokens, so phrases match across elided stopwords);
-    terms are stemmed with {!Stemmer}.
+    posting lists.  Terms are stemmed with {!Stemmer}.  Stopwords are
+    skipped on both sides: they are not indexed (positions are assigned
+    only to indexed tokens), and {!compile} drops them from queries —
+    so a phrase or window matches across elided stopwords, ["state of
+    the art"] evaluates exactly as ["state art"], and an expression
+    left with no word (a stopword term, a phrase of stopwords) is never
+    satisfied.
 
     Following the paper (§5.1), [matches] returns the {e most specific}
     elements satisfying an expression — as in XRANK [20] and nearest
@@ -68,6 +72,34 @@ val tok_range : t -> Xmldom.Doc.elem -> int * int
 (** [(lo, hi)]: the subtree of the element covers token positions
     [lo .. hi - 1]. *)
 
+(** {2 Compiled expressions}
+
+    Every evaluation below goes through {!compile}.  A caller that
+    evaluates one expression on many elements — a join operator
+    testing candidates, a ranker scoring answers — compiles it once and
+    keeps the result for that one evaluation. *)
+
+type compiled
+(** An expression analysed against one index or scoring view: stopwords
+    dropped, keywords stemmed and resolved to posting lists, each term's
+    scoring df (the overlay's corpus-wide count under {!with_overlay})
+    and idf factor taken, and the normalization denominator computed.
+    It is immutable, holds no lock and no cache, and is never stored on
+    the index: callers build one per evaluation and drop it after. *)
+
+val compile : t -> Ftexp.t -> compiled
+
+val holds : compiled -> Xmldom.Doc.elem -> bool
+(** [holds (compile idx f) e] is [satisfies idx f e]. *)
+
+val score : compiled -> Xmldom.Doc.elem -> float
+(** [score (compile idx f) e] is [normalized_score idx f e], to the
+    bit. *)
+
+(** {2 One-shot evaluation}
+
+    Each function compiles its expression, then evaluates it. *)
+
 val satisfies : t -> Ftexp.t -> Xmldom.Doc.elem -> bool
 (** [satisfies idx f e]: does the subtree text of [e] satisfy [f]? *)
 
@@ -85,7 +117,8 @@ val raw_score : t -> Ftexp.t -> Xmldom.Doc.elem -> float
 
 val normalized_score : t -> Ftexp.t -> Xmldom.Doc.elem -> float
 (** [raw_score] divided by the document root's raw score (the maximum
-    for positive expressions); always in [0, 1]. *)
+    for positive expressions); always in [0, 1].  Under an overlay the
+    root is the virtual root of the whole corpus. *)
 
 val matches : t -> Ftexp.t -> (Xmldom.Doc.elem * float) list
 (** Most specific elements with normalized scores, best first — the
@@ -100,15 +133,17 @@ val count_satisfying_with_tag : t -> Ftexp.t -> Xmldom.Tag.t -> int
 
 type overlay
 (** Corpus-global scoring statistics — total df per term, total token
-    count, global average scope length and the combined root's raw
-    score — substituted into shard-local indexes so that every shard
-    scores answers exactly as one combined index over all shards would.
-    Thread-safe: one overlay is shared by all worker domains serving a
-    corpus view. *)
+    count, global average scope length, and the shard indexes whose
+    roots make up the combined root — substituted into shard-local
+    indexes so that every shard scores answers exactly as one combined
+    index over all shards would.  Immutable once built, so one overlay
+    is shared by all worker domains serving a corpus view; the
+    combined root's raw score is computed by each {!compile}, not
+    memoized here. *)
 
 val overlay_of : t list -> overlay
 (** Builds the global view over the given shard indexes.  All indexes
-    must use the same scorer (the first one's is taken).  Value
+    must use the same scorer: each view scores with its own.  Value
     equivalence with a single combined index is exact for {!Scorer}
     functions and holds for every expression whose phrase/window
     matches do not straddle a document boundary (such matches are
@@ -119,7 +154,8 @@ val with_overlay : t -> overlay -> t
 (** A view of [t] whose {!normalized_score} (and the term evidence
     inside {!raw_score}) uses the overlay's global statistics; all
     element-local operations are unchanged.  The result is a scoring
-    view: do not persist or {!extend} it. *)
+    view: do not persist or {!extend} it, and {!compile} against the
+    view, not against [t]. *)
 
 val overlay_n_tokens : overlay -> int
 val overlay_df : overlay -> string -> int

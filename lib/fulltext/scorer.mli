@@ -25,5 +25,17 @@ val term_score :
     [scope_len] tokens; [df] is the term's collection frequency and
     [n_tokens] the collection size. *)
 
+type term_weight
+(** One term's scoring constants — its idf factor and the collection's
+    length-normalization inputs — computed once so that scoring the
+    term in many scopes repeats only the tf- and length-dependent part.
+    {!term_score} is defined through it, so both give the same bits. *)
+
+val term_weight : t -> df:int -> n_tokens:int -> avg_scope_len:float -> term_weight
+
+val evidence : term_weight -> tf:int -> scope_len:int -> float
+(** [evidence (term_weight t ~df ~n_tokens ~avg_scope_len) ~tf ~scope_len]
+    is [term_score t ~tf ~df ~n_tokens ~scope_len ~avg_scope_len]. *)
+
 val to_string : t -> string
 val of_string : string -> (t, string) result

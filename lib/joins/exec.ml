@@ -73,14 +73,18 @@ let fresh_metrics () =
 type tuple = { bindings : int array; mask : int; score : float }
 
 (* Compiled pipeline: for each stage (slot), the scored closure
-   predicates that become fully determined once that slot is bound. *)
-type check = { pred_ix : int; pred : Pred.t; pen : float }
+   predicates that become fully determined once that slot is bound,
+   each with its test on a tuple's bindings. *)
+type check = { pred_ix : int; pred : Pred.t; pen : float; holds : int array -> bool }
 
 type compiled = {
   enc : Encoded.t;
   scored_preds : Pred.t array; (* structural + contains preds of the closure *)
   penalties : float array;
   checks : check list array; (* per stage *)
+  required : Index.compiled list array;
+      (* per stage: the spec's required contains, compiled *)
+  keyword_preds : Index.compiled list; (* contains preds of the original query *)
   remaining : float array; (* Σ penalties of checks at stages > s — maxScoreGrowth *)
   live : int array array;
       (* live.(s): slots still needed after stage s — anchors of later
@@ -92,8 +96,51 @@ type compiled = {
   n_slots : int;
 }
 
+(* The test of predicate [p] on a tuple's bindings, with its slots
+   resolved and a [contains] expression compiled.  All variables of [p]
+   are guaranteed bound-or-unbound-final when the test runs. *)
+let pred_holds env enc text p =
+  let slot = Encoded.slot_of_var enc in
+  match p with
+  | Pred.Pc (x, y) ->
+    let sx = slot x and sy = slot y in
+    fun b ->
+      let ex = b.(sx) and ey = b.(sy) in
+      ex >= 0 && ey >= 0 && Doc.is_parent env.doc ex ey
+  | Pred.Ad (x, y) ->
+    let sx = slot x and sy = slot y in
+    fun b ->
+      let ex = b.(sx) and ey = b.(sy) in
+      ex >= 0 && ey >= 0 && Doc.is_ancestor env.doc ex ey
+  | Pred.Contains (x, f) ->
+    let sx = slot x and c = text f in
+    fun b ->
+      let ex = b.(sx) in
+      ex >= 0 && Index.holds c ex
+  | Pred.Tag_eq (x, t) ->
+    let sx = slot x in
+    fun b ->
+      let ex = b.(sx) in
+      ex >= 0 && String.equal (Doc.tag_name env.doc ex) t
+  | Pred.Attr (x, _) ->
+    let sx = slot x in
+    fun b -> b.(sx) >= 0
+
+(* Each distinct [contains] expression of a plan, compiled once against
+   the run's index view and shared by every use in that run. *)
+let text_compiler env =
+  let seen = ref [] in
+  fun f ->
+    match List.find_opt (fun (g, _) -> Ftexp.equal f g) !seen with
+    | Some (_, c) -> c
+    | None ->
+      let c = Index.compile env.index f in
+      seen := (f, c) :: !seen;
+      c
+
 let compile env enc =
   !failpoint "exec.compile";
+  let text = text_compiler env in
   let penv = env.penalty in
   let scored_preds = Array.of_list (Relax.Penalty.scored_preds penv) in
   let n_preds = Array.length scored_preds in
@@ -108,7 +155,9 @@ let compile env enc =
   Array.iteri
     (fun ix p ->
       let stage = List.fold_left (fun acc v -> max acc (slot_of v)) 0 (Pred.vars p) in
-      checks.(stage) <- { pred_ix = ix; pred = p; pen = penalties.(ix) } :: checks.(stage))
+      checks.(stage) <-
+        { pred_ix = ix; pred = p; pen = penalties.(ix); holds = pred_holds env enc text p }
+        :: checks.(stage))
     scored_preds;
   let remaining = Array.make n_slots 0.0 in
   for s = n_slots - 2 downto 0 do
@@ -139,6 +188,10 @@ let compile env enc =
     scored_preds;
     penalties;
     checks;
+    required =
+      Array.map (fun (spec : Encoded.var_spec) -> List.map text spec.required_contains) specs;
+    keyword_preds =
+      List.map (fun (_, f) -> text f) (Query.contains_preds (Relax.Penalty.original penv));
     remaining;
     live;
     base = Relax.Penalty.base_score penv;
@@ -146,59 +199,42 @@ let compile env enc =
     n_slots;
   }
 
-(* Does predicate [p] hold for the (partial) bindings?  All variables of
-   [p] are guaranteed bound-or-unbound-final when this is called. *)
-let pred_holds env cp bindings p =
-  let b v = bindings.(Encoded.slot_of_var cp.enc v) in
-  match p with
-  | Pred.Pc (x, y) ->
-    let ex = b x and ey = b y in
-    ex >= 0 && ey >= 0 && Doc.is_parent env.doc ex ey
-  | Pred.Ad (x, y) ->
-    let ex = b x and ey = b y in
-    ex >= 0 && ey >= 0 && Doc.is_ancestor env.doc ex ey
-  | Pred.Contains (x, f) ->
-    let ex = b x in
-    ex >= 0 && Index.satisfies env.index f ex
-  | Pred.Tag_eq (x, t) ->
-    let ex = b x in
-    ex >= 0 && String.equal (Doc.tag_name env.doc ex) t
-  | Pred.Attr (x, _) -> b x >= 0
-
 (* Apply the checks of stage [s] to a tuple whose slot [s] was just
    decided, updating mask and score. *)
-let settle env cp s t =
+let settle cp s t =
   List.fold_left
     (fun t c ->
-      if pred_holds env cp t.bindings c.pred then { t with mask = t.mask lor (1 lsl c.pred_ix) }
+      if c.holds t.bindings then { t with mask = t.mask lor (1 lsl c.pred_ix) }
       else { t with score = t.score -. c.pen })
     t cp.checks.(s)
 
 let hierarchy env = Relax.Penalty.hierarchy env.penalty
 
-let node_satisfies env (spec : Encoded.var_spec) e =
+(* [required] is [spec.required_contains], compiled. *)
+let node_satisfies env (spec : Encoded.var_spec) required e =
   (match spec.tag with
   | None -> true
   | Some t ->
     Tpq.Hierarchy.matches (hierarchy env) ~query_tag:t ~element_tag:(Doc.tag_name env.doc e))
   && List.for_all (fun p -> Pred.eval_attr p (Doc.attribute env.doc e)) spec.attrs
-  && List.for_all (fun f -> Index.satisfies env.index f e) spec.required_contains
+  && List.for_all (fun c -> Index.holds c e) required
 
 let candidate_pool env (spec : Encoded.var_spec) =
   Tpq.Semantics.candidates ~hierarchy:(hierarchy env) env.doc
     (Query.node_spec ?tag:spec.tag ())
 
 (* Candidates for binding [spec] below anchor element [anchor]. *)
-let candidates_below env spec axis anchor =
+let candidates_below env spec required axis anchor =
   let pool = candidate_pool env spec in
   match axis with
   | Query.Child ->
-    List.filter (node_satisfies env spec) (Structural_join.children_with_tag env.doc pool anchor)
+    List.filter (node_satisfies env spec required)
+      (Structural_join.children_with_tag env.doc pool anchor)
   | Query.Descendant ->
     let lo, hi = Structural_join.subtree_slice env.doc pool anchor in
     let out = ref [] in
     for i = hi - 1 downto lo do
-      if node_satisfies env spec pool.(i) then out := pool.(i) :: !out
+      if node_satisfies env spec required pool.(i) then out := pool.(i) :: !out
     done;
     !out
 
@@ -209,13 +245,10 @@ let candidates_below env spec axis anchor =
    embedding's binding) makes the keyword score a function of the
    answer alone, so all algorithms assign identical scores regardless
    of which embedding they discovered first. *)
-let keyword_score env target contains_preds =
+let keyword_score cp target =
   List.fold_left
-    (fun acc (_, f) ->
-      if Index.satisfies env.index f target then
-        acc +. Index.normalized_score env.index f target
-      else acc)
-    0.0 contains_preds
+    (fun acc c -> if Index.holds c target then acc +. Index.score c target else acc)
+    0.0 cp.keyword_preds
 
 let prune_threshold cp metrics k s tuples =
   (* Guaranteed final score of the current k-th best distinct target:
@@ -245,7 +278,7 @@ let poll_interval = 4096
    posting pool with the spec's local conditions (tag under hierarchy,
    attributes, required contains) evaluated once per element — the
    binary pipeline re-evaluates them per (tuple, candidate). *)
-let filtered_candidates env (spec : Encoded.var_spec) =
+let filtered_candidates env (spec : Encoded.var_spec) required =
   let pool = candidate_pool env spec in
   (* [candidate_pool] already resolves the tag under the hierarchy, so
      a spec with no attribute or contains conditions is satisfied by
@@ -257,7 +290,7 @@ let filtered_candidates env (spec : Encoded.var_spec) =
     let buf = Array.make (max 1 len) 0 in
     let j = ref 0 in
     for i = 0 to len - 1 do
-      if node_satisfies env spec pool.(i) then begin
+      if node_satisfies env spec required pool.(i) then begin
         buf.(!j) <- pool.(i);
         incr j
       end
@@ -308,7 +341,7 @@ let run ?(metrics = fresh_metrics ()) ?cancel ?(executor = Auto) env enc strateg
             Option.map (fun (p, ax) -> (Encoded.slot_of_var enc p, ax)) s.anchor)
           specs
       in
-      let candidates = Array.map (filtered_candidates env) specs in
+      let candidates = Array.map2 (filtered_candidates env) specs cp.required in
       let st = Twig.filter env.doc ~anchors ~candidates ~tick in
       Array.iter
         (fun s -> metrics.stream_elements <- metrics.stream_elements + Array.length s)
@@ -347,7 +380,6 @@ let run ?(metrics = fresh_metrics ()) ?cancel ?(executor = Auto) env enc strateg
     metrics.tuples_produced <- metrics.tuples_produced + Array.length dist_stream;
     tick (Array.length dist_stream);
     flush_tick ();
-    let contains_preds = Query.contains_preds (Relax.Penalty.original env.penalty) in
     let satisfied = Array.to_list cp.scored_preds in
     let dist_var = Encoded.distinguished enc in
     Array.fold_right
@@ -355,7 +387,7 @@ let run ?(metrics = fresh_metrics ()) ?cancel ?(executor = Auto) env enc strateg
         {
           target = e;
           sscore = cp.base;
-          kscore = keyword_score env e contains_preds;
+          kscore = keyword_score cp e;
           satisfied;
           failed = [];
           bindings = [ (dist_var, e) ];
@@ -370,7 +402,7 @@ let run ?(metrics = fresh_metrics ()) ?cancel ?(executor = Auto) env enc strateg
     | Some st -> Array.to_list st.(0)
     | None ->
       Array.fold_right
-        (fun e acc -> if node_satisfies env root_spec e then e :: acc else acc)
+        (fun e acc -> if node_satisfies env root_spec cp.required.(0) e then e :: acc else acc)
         (candidate_pool env root_spec)
         []
   in
@@ -382,7 +414,7 @@ let run ?(metrics = fresh_metrics ()) ?cancel ?(executor = Auto) env enc strateg
      therefore every downstream tie-break — is executor-independent. *)
   let cands_below_at =
     match streams with
-    | None -> fun _s spec axis anchor -> candidates_below env spec axis anchor
+    | None -> fun s spec axis anchor -> candidates_below env spec cp.required.(s) axis anchor
     | Some st ->
       fun s _spec axis anchor ->
         (match axis with
@@ -401,7 +433,7 @@ let run ?(metrics = fresh_metrics ()) ?cancel ?(executor = Auto) env enc strateg
       (fun e ->
         let bindings = Array.make n (-1) in
         bindings.(0) <- e;
-        settle env cp 0 { bindings; mask = 0; score = cp.base })
+        settle cp 0 { bindings; mask = 0; score = cp.base })
       root_list
   in
   metrics.tuples_produced <- metrics.tuples_produced + List.length init;
@@ -470,7 +502,7 @@ let run ?(metrics = fresh_metrics ()) ?cancel ?(executor = Auto) env enc strateg
     let extend t e =
       let bindings = Array.copy t.bindings in
       bindings.(s) <- e;
-      settle env cp s { t with bindings }
+      settle cp s { t with bindings }
     in
     let out =
       List.concat_map
@@ -478,14 +510,14 @@ let run ?(metrics = fresh_metrics ()) ?cancel ?(executor = Auto) env enc strateg
           let anchor = t.bindings.(anchor_slot) in
           if anchor < 0 then begin
             tick 1;
-            [ settle env cp s t ]
+            [ settle cp s t ]
           end
           else begin
             match cands_below_at s spec axis anchor with
             | [] ->
               if spec.optional then begin
                 tick 1;
-                [ settle env cp s t ]
+                [ settle cp s t ]
               end
               else []
             | cands ->
@@ -507,7 +539,6 @@ let run ?(metrics = fresh_metrics ()) ?cancel ?(executor = Auto) env enc strateg
   (* One answer per distinct distinguished binding: keep the embedding
      with the best structural score (the keyword score depends only on
      the answer node). *)
-  let contains_preds = Query.contains_preds (Relax.Penalty.original env.penalty) in
   let best = Hashtbl.create 64 in
   List.iter
     (fun t ->
@@ -523,7 +554,7 @@ let run ?(metrics = fresh_metrics ()) ?cancel ?(executor = Auto) env enc strateg
     !final;
   Hashtbl.fold
     (fun target t acc ->
-      let ks = keyword_score env target contains_preds in
+      let ks = keyword_score cp target in
       let satisfied, failed =
         Array.to_list cp.scored_preds
         |> List.mapi (fun ix p -> (t.mask land (1 lsl ix) <> 0, p))

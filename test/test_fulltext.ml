@@ -130,7 +130,6 @@ let test_ftexp_print_parse_roundtrip () =
 let test_ftexp_keywords () =
   let e = Ftexp.(And (Term "a", Or (Not (Term "b"), Phrase [ "c"; "a" ]))) in
   check_slist "keywords" [ "a"; "b"; "c" ] (Ftexp.keywords e);
-  check_slist "positive keywords" [ "a"; "c" ] (Ftexp.positive_keywords e);
   check_bool "not positive" false (Ftexp.is_positive e);
   check_bool "positive" true Ftexp.(is_positive (Term "a" &&& Phrase [ "b"; "c" ]))
 
@@ -244,6 +243,47 @@ let test_index_stopwords_skipped () =
   check_int "only content words" 2 (Index.n_tokens idx);
   check_bool "phrase across stopwords" true (Index.satisfies idx (Ftexp.Phrase [ "cat"; "dog" ]) 0)
 
+(* Query analysis drops stopwords as indexing does: a quoted phrase or
+   a window holding a stopword matches (and scores) as the same list
+   without it, here and at an overlay's virtual root; an expression
+   left with no word never matches. *)
+let test_index_stopword_phrases () =
+  let books =
+    [
+      el "book" [ el "title" [ txt "the state of the art in xml streaming" ] ];
+      el "book" [ el "title" [ txt "state art" ] ];
+    ]
+  in
+  let same_bits what idx a b =
+    Doc.iter_elements (Index.doc idx) (fun e ->
+        let bits f = Int64.bits_of_float f in
+        check_bool (Printf.sprintf "%s: satisfaction at %d" what e) (Index.satisfies idx b e)
+          (Index.satisfies idx a e);
+        check_bool (Printf.sprintf "%s: raw bits at %d" what e) true
+          (bits (Index.raw_score idx a e) = bits (Index.raw_score idx b e));
+        check_bool (Printf.sprintf "%s: normalized bits at %d" what e) true
+          (bits (Index.normalized_score idx a e) = bits (Index.normalized_score idx b e)))
+  in
+  let with_stop = parse_ft "\"state of the art\"" and without = parse_ft "\"state art\"" in
+  check_bool "parsed as a phrase" true
+    (Ftexp.equal with_stop (Ftexp.Phrase [ "state"; "of"; "the"; "art" ]));
+  let idx = Index.build (Doc.of_tree (el "lib" books)) in
+  check_ilist "both titles match" [ 2; 4 ] (Index.most_specific idx with_stop);
+  same_bits "phrase" idx with_stop without;
+  same_bits "window" idx
+    (Ftexp.Window (2, [ "state"; "of"; "art" ]))
+    (Ftexp.Window (2, [ "state"; "art" ]));
+  let shards = List.map (fun b -> Index.build (Doc.of_tree (el "lib" [ b ]))) books in
+  let ov = Index.overlay_of shards in
+  List.iter
+    (fun shard -> same_bits "overlay phrase" (Index.with_overlay shard ov) with_stop without)
+    shards;
+  List.iter
+    (fun f ->
+      check_ilist ("never satisfied: " ^ Ftexp.to_string f) [] (Index.all_satisfying idx f);
+      check_bool ("no score: " ^ Ftexp.to_string f) true (Index.normalized_score idx f 0 = 0.0))
+    [ Ftexp.Term "the"; Ftexp.Phrase [ "of"; "the" ]; Ftexp.Window (3, [ "the"; "of" ]) ]
+
 let test_index_empty_text () =
   let d = Doc.of_tree (el "r" [ el "a" []; el "b" [ txt "word" ] ]) in
   let idx = Index.build d in
@@ -299,6 +339,24 @@ let test_index_with_bm25 () =
   check_bool "default is tfidf" true (Index.scorer idx0 = Scorer.Tf_idf)
 
 (* ------------------------------------------------------------------ *)
+(* Golden kernel outputs (see kernel_golden.ml) *)
+
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let test_kernel_golden () =
+  let rec compare_from line = function
+    | e :: expected, a :: actual ->
+      if e <> a then Alcotest.failf "line %d:\nexpected %s\nactual   %s" line e a;
+      compare_from (line + 1) (expected, actual)
+    | [], [] -> ()
+    | _ -> Alcotest.failf "line %d: one side ends before the other" line
+  in
+  compare_from 1 (read_lines "kernel_golden.expected", Kernel_golden.lines ())
+
+(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let gen_words =
@@ -348,6 +406,92 @@ let prop_raw_score_monotone =
             (Doc.ancestors d e));
       !ok)
 
+(* Satisfaction against an oracle that shares no code with the index:
+   each element's subtree text tokenized, stopwords dropped, stemmed,
+   and the expression checked on that word list.  Stopwords and words
+   with a common stem are in the vocabulary on purpose. *)
+let vocab = [ "alpha"; "beta"; "xml"; "streams"; "streaming"; "the"; "of" ]
+
+let gen_tree =
+  let open QCheck2.Gen in
+  let text = map (fun ws -> txt (String.concat " " ws)) (list_size (1 -- 3) (oneofl vocab)) in
+  let rec node depth =
+    let child = if depth = 0 then text else oneof [ text; node (depth - 1) ] in
+    map (el "s") (list_size (1 -- 3) child)
+  in
+  node 3
+
+let gen_ftexp =
+  let open QCheck2.Gen in
+  let words = list_size (1 -- 3) (oneofl vocab) in
+  let leaf =
+    oneof
+      [
+        map (fun w -> Ftexp.Term w) (oneofl vocab);
+        map (fun ws -> Ftexp.Phrase ws) words;
+        map2 (fun n ws -> Ftexp.Window (n, ws)) (1 -- 4) words;
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           oneof
+             [
+               leaf;
+               map2 (fun a b -> Ftexp.And (a, b)) (self (n / 2)) (self (n / 2));
+               map2 (fun a b -> Ftexp.Or (a, b)) (self (n / 2)) (self (n / 2));
+               map (fun a -> Ftexp.Not a) (self (n - 1));
+             ])
+
+let subtree_stems d e =
+  let out = ref [] in
+  for c = 0 to Doc.chunk_count d - 1 do
+    let o = Doc.chunk_owner d c in
+    if o = e || Doc.is_ancestor d e o then
+      Tokenizer.iter (Doc.chunk_text d c) (fun w ->
+          if not (Stopwords.is_stopword w) then out := Stemmer.stem w :: !out)
+  done;
+  Array.of_list (List.rev !out)
+
+let rec oracle toks f =
+  let n = Array.length toks in
+  let stems ws = List.map Stemmer.stem (List.filter (fun w -> not (Stopwords.is_stopword w)) ws) in
+  let exists_from lo hi p =
+    let rec go i = i < hi && (p i || go (i + 1)) in
+    go lo
+  in
+  match f with
+  | Ftexp.Term w -> (not (Stopwords.is_stopword w)) && Array.mem (Stemmer.stem w) toks
+  | Ftexp.Phrase ws -> (
+    match stems ws with
+    | [] -> false
+    | ss ->
+      exists_from 0 n (fun start ->
+          List.for_all Fun.id (List.mapi (fun j s -> start + j < n && toks.(start + j) = s) ss)))
+  | Ftexp.Window (width, ws) -> (
+    match stems ws with
+    | [] -> false
+    | ss ->
+      exists_from 0 n (fun start ->
+          List.for_all
+            (fun s -> exists_from start (min n (start + width)) (fun i -> toks.(i) = s))
+            ss))
+  | Ftexp.And (a, b) -> oracle toks a && oracle toks b
+  | Ftexp.Or (a, b) -> oracle toks a || oracle toks b
+  | Ftexp.Not a -> not (oracle toks a)
+
+let prop_satisfaction_matches_oracle =
+  QCheck2.Test.make ~name:"satisfaction matches a token-list oracle" ~count:300
+    ~print:(fun (_, f) -> Ftexp.to_string f)
+    QCheck2.Gen.(pair gen_tree gen_ftexp)
+    (fun (tree, f) ->
+      let d = Doc.of_tree tree in
+      let idx = Index.build d in
+      let expected = List.filter (fun e -> oracle (subtree_stems d e) f) (List.init (Doc.size d) Fun.id) in
+      Index.all_satisfying idx f = expected
+      && List.for_all (fun e -> Index.satisfies idx f e = List.mem e expected) (List.init (Doc.size d) Fun.id))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "fulltext"
@@ -386,7 +530,9 @@ let () =
           Alcotest.test_case "ranked matches" `Quick test_index_matches_ranked;
           Alcotest.test_case "count by tag" `Quick test_index_count_with_tag;
           Alcotest.test_case "stopwords skipped" `Quick test_index_stopwords_skipped;
+          Alcotest.test_case "stopwords dropped from queries" `Quick test_index_stopword_phrases;
           Alcotest.test_case "empty text" `Quick test_index_empty_text;
+          Alcotest.test_case "golden kernel outputs" `Quick test_kernel_golden;
         ] );
       ( "scorer",
         [
@@ -400,5 +546,6 @@ let () =
           q prop_root_satisfies_any_present_word;
           q prop_satisfaction_upward_closed;
           q prop_raw_score_monotone;
+          q prop_satisfaction_matches_oracle;
         ] );
     ]
