@@ -1,5 +1,3 @@
-module Pred = Tpq.Pred
-
 let log_src = Logs.Src.create "flexpath" ~doc:"FleXPath top-K query evaluation"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
@@ -29,134 +27,14 @@ type result = {
   degraded : bool;
 }
 
-let chain env ?(max_steps = 32) q =
-  Failpoint.hit "chain.build";
-  let penv = Env.penalty_env env q in
-  let entries = Relax.Space.sequence ~max_steps penv in
-  Log.debug (fun m ->
-      m "relaxation chain: %d entries, scores %.3f .. %.3f" (List.length entries)
-        (match entries with e :: _ -> e.Relax.Space.score | [] -> nan)
-        (match List.rev entries with e :: _ -> e.Relax.Space.score | [] -> nan));
-  (penv, entries)
-
-(* An answer's satisfied-predicate set is always closed under the
-   inference rules of Figure 3 (satisfaction on data respects them).
-   The best structural score any answer OUTSIDE a relaxation can have is
-   therefore the maximum of [base − Σ π(failed)] over inference-closed
-   sets that violate at least one predicate the relaxation still
-   enforces.  For the small closures of tree pattern queries we compute
-   this exactly by bitmask enumeration. *)
-let scored_preds penv = Relax.Penalty.scored_preds penv
-
-let closure_rules preds =
-  (* (premise_mask, conclusion_bit) pairs over the scored predicates *)
-  let arr = Array.of_list preds in
-  let m = Array.length arr in
-  let index p =
-    let rec go i = if i >= m then None else if Pred.equal arr.(i) p then Some i else go (i + 1) in
-    go 0
-  in
-  let rules = ref [] in
-  let add premises conclusion =
-    match index conclusion with
-    | None -> ()
-    | Some c ->
-      let mask =
-        List.fold_left
-          (fun acc p -> match index p with Some i -> acc lor (1 lsl i) | None -> acc)
-          0 premises
-      in
-      (* all premises must be among the scored preds for the rule to bind *)
-      if List.for_all (fun p -> index p <> None) premises then rules := (mask, c) :: !rules
-  in
-  Array.iter
-    (fun p ->
-      match p with
-      | Pred.Pc (x, y) -> add [ p ] (Pred.Ad (x, y))
-      | Pred.Ad (x, y) ->
-        Array.iter
-          (fun p' ->
-            match p' with
-            | Pred.Ad (y', z) when y' = y -> add [ p; p' ] (Pred.Ad (x, z))
-            | Pred.Contains (y', f) when y' = y && Fulltext.Ftexp.is_positive f ->
-              add [ p; p' ] (Pred.Contains (x, f))
-            | _ -> ())
-          arr
-      | Pred.Tag_eq _ | Pred.Attr _ | Pred.Contains _ -> ())
-    arr;
-  !rules
-
-let tight_structural_bound penv (entry : Relax.Space.entry) =
-  let preds = scored_preds penv in
-  let arr = Array.of_list preds in
-  let m = Array.length arr in
-  let base = Relax.Penalty.base_score penv in
-  let pen = Array.map (Relax.Penalty.predicate_penalty penv) arr in
-  let dropped = Pred.Set.of_list (Relax.Penalty.dropped_preds penv entry.query) in
-  let required_mask = ref 0 in
-  Array.iteri (fun i p -> if not (Pred.Set.mem p dropped) then required_mask := !required_mask lor (1 lsl i)) arr;
-  if !required_mask = 0 then neg_infinity
-  else if m > 18 then begin
-    (* Closures too large to enumerate: lower-bound the loss of failing
-       each enforced predicate by following the inference rules — when a
-       derived predicate fails, every rule deriving it must have a
-       failing premise, so at least the cheapest premise of the most
-       expensive rule fails along with it.  Counting one chain per
-       predicate avoids double counting, keeping the bound sound. *)
-    let rules = closure_rules preds in
-    (* The rule graph is acyclic (a conclusion is always a longer edge
-       or a higher contains than its premises), so plain memoization is
-       safe. *)
-    let memo = Hashtbl.create 32 in
-    let rec cost c =
-      match Hashtbl.find_opt memo c with
-      | Some v -> v
-      | None ->
-        Hashtbl.replace memo c pen.(c) (* guard against malformed cycles *);
-        let chain =
-          List.fold_left
-            (fun acc (premise_mask, concl) ->
-              if concl <> c then acc
-              else begin
-                let cheapest = ref infinity in
-                for i = 0 to m - 1 do
-                  if premise_mask land (1 lsl i) <> 0 then cheapest := Float.min !cheapest (cost i)
-                done;
-                if !cheapest = infinity then acc else Float.max acc !cheapest
-              end)
-            0.0 rules
-        in
-        let v = pen.(c) +. chain in
-        Hashtbl.replace memo c v;
-        v
-    in
-    let min_loss = ref infinity in
-    for i = 0 to m - 1 do
-      if !required_mask land (1 lsl i) <> 0 then min_loss := Float.min !min_loss (cost i)
-    done;
-    base -. !min_loss
-  end
-  else begin
-    let rules = closure_rules preds in
-    let best = ref neg_infinity in
-    for s = 0 to (1 lsl m) - 1 do
-      if s land !required_mask <> !required_mask then begin
-        let closed =
-          List.for_all
-            (fun (premises, c) -> s land premises <> premises || s land (1 lsl c) <> 0)
-            rules
-        in
-        if closed then begin
-          let loss = ref 0.0 in
-          for i = 0 to m - 1 do
-            if s land (1 lsl i) = 0 then loss := !loss +. pen.(i)
-          done;
-          if base -. !loss > !best then best := base -. !loss
-        end
-      end
-    done;
-    !best
-  end
+(* §5.1's stopping bound.  Any answer the entry's query does not return
+   fails some scored predicate that query still implies, and its
+   satisfied set is inference-closed, so its structural score is at most
+   [base − least loss] over those predicates.  The per-predicate least
+   losses are a table the penalty environment computes once. *)
+let structural_bound penv (entry : Relax.Space.entry) =
+  let loss = Relax.Penalty.unseen_loss penv entry.query in
+  if loss = infinity then neg_infinity else Relax.Penalty.base_score penv -. loss
 
 let unseen_bound scheme penv (entry : Relax.Space.entry) =
   match scheme with
@@ -164,9 +42,8 @@ let unseen_bound scheme penv (entry : Relax.Space.entry) =
     (* keyword scores are independent of relaxation depth: no sound
        early cut on the keyword-first primary key *)
     infinity
-  | Ranking.Structure_first -> tight_structural_bound penv entry
-  | Ranking.Combined ->
-    tight_structural_bound penv entry +. Relax.Penalty.max_keyword_score penv
+  | Ranking.Structure_first -> structural_bound penv entry
+  | Ranking.Combined -> structural_bound penv entry +. Relax.Penalty.max_keyword_score penv
 
 let kth_total scheme k answers =
   if List.length answers < k then None
@@ -217,10 +94,17 @@ type plan = {
          entries safely (a racing recompute yields an equivalent value) *)
 }
 
-let build_plan env ?max_steps q =
-  let penv, entries = chain env ?max_steps q in
-  let arr = Array.of_list entries in
-  { pquery = q; penv; chain = arr; encoded = Array.init (Array.length arr) (fun _ -> Atomic.make None) }
+let build_plan env ?(max_steps = 32) q =
+  Failpoint.hit "chain.build";
+  let penv = Env.penalty_env env q in
+  (* Refuse before building a chain no evaluation could use. *)
+  Joins.Exec.check_capacity penv;
+  let chain = Array.of_list (Relax.Space.sequence ~max_steps penv) in
+  Log.debug (fun m ->
+      m "relaxation chain: %d entries, scores %.3f .. %.3f" (Array.length chain)
+        chain.(0).Relax.Space.score
+        chain.(Array.length chain - 1).Relax.Space.score);
+  { pquery = q; penv; chain; encoded = Array.map (fun _ -> Atomic.make None) chain }
 
 let plan_entries p = Array.to_list p.chain
 

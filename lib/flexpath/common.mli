@@ -5,7 +5,7 @@
     much of it they evaluate and how.  Early termination is sound: any
     answer not yet produced by relaxation [Qi] must violate at least
     one closure predicate [Qi] still enforces, so its structural score
-    is at most [base − min π(p)] over those predicates
+    is at most [base −] the least loss of failing one of them
     ({!unseen_bound}); once the current K-th answer reaches that bound
     no further relaxation can change the top-K. *)
 
@@ -50,15 +50,16 @@ type result = {
           [restart_cap]) and fell back to DPO's per-step evaluation. *)
 }
 
-val chain :
-  Env.t -> ?max_steps:int -> Tpq.Query.t -> Relax.Penalty.t * Relax.Space.entry list
-(** The penalty environment and greedy relaxation chain for a query
-    (first entry is the original query itself). *)
-
 val unseen_bound : Ranking.scheme -> Relax.Penalty.t -> Relax.Space.entry -> float
 (** Upper bound on {!Ranking.total} of any answer not produced by the
-    entry's query.  [neg_infinity] when every scored predicate is
-    already dropped. *)
+    entry's query: [base − ]{!Relax.Penalty.unseen_loss} under
+    structure-first, plus the keyword maximum under Combined, [infinity]
+    under keyword-first.  [neg_infinity] when every scored predicate is
+    already dropped.  The least-loss table behind it is computed the
+    first time a bound needs it — once per plan, since a plan owns its
+    penalty environment — and published atomically, so a plan shared
+    between worker domains through {!Qcache} needs no lock; the table
+    lives as long as the plan. *)
 
 val kth_total : Ranking.scheme -> int -> Answer.t list -> float option
 (** The K-th best primary score among collected answers; [None] when
@@ -110,8 +111,15 @@ type plan = {
 }
 
 val build_plan : Env.t -> ?max_steps:int -> Tpq.Query.t -> plan
-(** {!chain} packaged as a plan (and subject to the same
-    ["chain.build"] failpoint); no join plan is compiled yet. *)
+(** The penalty environment and the greedy relaxation chain
+    ({!Relax.Space.sequence}, [max_steps] default 32, original query
+    first), packaged as a plan; no join plan is compiled yet.  Hits the
+    ["chain.build"] failpoint first.
+    @raise Joins.Exec.Capacity_exceeded before building the chain when
+    the query's closure has more scored predicates than the executor can
+    track ({!Joins.Exec.check_capacity}): every algorithm and
+    {!Corpus.query} plan through here, so an over-capacity query costs
+    no chain. *)
 
 val plan_entries : plan -> Relax.Space.entry list
 

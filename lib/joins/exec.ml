@@ -80,7 +80,6 @@ type check = { pred_ix : int; pred : Pred.t; pen : float; holds : int array -> b
 type compiled = {
   enc : Encoded.t;
   scored_preds : Pred.t array; (* structural + contains preds of the closure *)
-  penalties : float array;
   checks : check list array; (* per stage *)
   required : Index.compiled list array;
       (* per stage: the spec's required contains, compiled *)
@@ -138,17 +137,20 @@ let text_compiler env =
       seen := (f, c) :: !seen;
       c
 
+let check_capacity penv =
+  let n_preds = Array.length (Relax.Penalty.scored_bits penv) in
+  if n_preds > max_scored_preds then
+    raise
+      (Capacity_exceeded
+         { what = "scored predicates in the query closure"; limit = max_scored_preds; actual = n_preds })
+
 let compile env enc =
   !failpoint "exec.compile";
   let text = text_compiler env in
   let penv = env.penalty in
-  let scored_preds = Array.of_list (Relax.Penalty.scored_preds penv) in
-  let n_preds = Array.length scored_preds in
-  if n_preds > max_scored_preds then
-    raise
-      (Capacity_exceeded
-         { what = "scored predicates in the query closure"; limit = max_scored_preds; actual = n_preds });
-  let penalties = Array.map (Relax.Penalty.predicate_penalty penv) scored_preds in
+  check_capacity penv;
+  let scored_preds = Relax.Penalty.scored_bits penv in
+  let penalties = Relax.Penalty.bit_penalties penv in
   let n_slots = Encoded.var_count enc in
   let slot_of v = Encoded.slot_of_var enc v in
   let checks = Array.make n_slots [] in
@@ -186,7 +188,6 @@ let compile env enc =
   {
     enc;
     scored_preds;
-    penalties;
     checks;
     required =
       Array.map (fun (spec : Encoded.var_spec) -> List.map text spec.required_contains) specs;

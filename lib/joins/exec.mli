@@ -36,6 +36,11 @@ exception Capacity_exceeded of { what : string; limit : int; actual : int }
 val max_scored_preds : int
 (** Scored closure predicates the tuple bitmask can track (62). *)
 
+val check_capacity : Relax.Penalty.t -> unit
+(** @raise Capacity_exceeded when the penalty environment has more than
+    {!max_scored_preds} scored predicates — the check {!run} makes,
+    available to planners that want to refuse before doing any work. *)
+
 val failpoint : (string -> unit) ref
 (** Fault-injection hook: called with a point name ("exec.compile",
     "exec.run", "exec.stage") at the corresponding code path.  A no-op

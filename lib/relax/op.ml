@@ -70,10 +70,10 @@ let apply_exn ?hierarchy q op =
   | Ok q' -> q'
   | Error msg -> invalid_arg ("Op.apply_exn: " ^ msg)
 
-let equivalent hierarchy a b =
+let equivalent ?(hierarchy = Hierarchy.empty) a b =
   Containment.contained ~hierarchy a b && Containment.contained ~hierarchy b a
 
-let candidates hierarchy q =
+let candidates ?(hierarchy = Hierarchy.empty) q =
   let vars = Query.vars q in
   let axis_gens =
     List.filter_map
@@ -123,8 +123,8 @@ let applicable ?(hierarchy = Hierarchy.empty) q =
     (fun op ->
       match apply ~hierarchy q op with
       | Error _ -> false
-      | Ok q' -> not (equivalent hierarchy q q'))
-    (candidates hierarchy q)
+      | Ok q' -> not (equivalent ~hierarchy q q'))
+    (candidates ~hierarchy q)
 
 let compare = Stdlib.compare
 let equal a b = compare a b = 0

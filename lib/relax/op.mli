@@ -34,9 +34,20 @@ val apply : ?hierarchy:Tpq.Hierarchy.t -> Tpq.Query.t -> t -> (Tpq.Query.t, stri
 
 val apply_exn : ?hierarchy:Tpq.Hierarchy.t -> Tpq.Query.t -> t -> Tpq.Query.t
 
+val candidates : ?hierarchy:Tpq.Hierarchy.t -> Tpq.Query.t -> t list
+(** Every operator whose shape fits [q] (a child edge to generalize, a
+    non-root leaf, a node with a grandparent, a contains off the root, a
+    tag with a declared supertype), in a fixed order.  Applying one may
+    still fail (the distinguished leaf) or yield a query equivalent to
+    [q]. *)
+
+val equivalent : ?hierarchy:Tpq.Hierarchy.t -> Tpq.Query.t -> Tpq.Query.t -> bool
+(** Containment both ways, by the homomorphism test of
+    {!Tpq.Containment}. *)
+
 val applicable : ?hierarchy:Tpq.Hierarchy.t -> Tpq.Query.t -> t list
-(** Every operator applicable to [q], each guaranteed to succeed and to
-    produce a query not equivalent to [q]. *)
+(** The {!candidates} that apply and produce a query not {!equivalent}
+    to [q], in the same order. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool

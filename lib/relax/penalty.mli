@@ -17,7 +17,10 @@ val scaled : float -> weights
 
 type t
 (** Penalty environment: the original query, its closure, tag bindings,
-    statistics, weights and (optionally) a type hierarchy. *)
+    statistics, weights and (optionally) a type hierarchy.  The scored
+    closure is indexed once, in {!scored_preds} order: bit [i] of a
+    {!mask} and of the executor's tuple mask is predicate [i], and its
+    π is computed here, once. *)
 
 val make : ?hierarchy:Tpq.Hierarchy.t -> Stats.t -> weights -> Tpq.Query.t -> t
 
@@ -28,8 +31,16 @@ val closure : t -> Tpq.Pred.t list
 val scored_preds : t -> Tpq.Pred.t list
 (** The closure predicates that participate in scoring: structural and
     contains predicates, plus tag predicates that the hierarchy allows
-    to be generalized.  The executor and the termination bounds share
-    this definition. *)
+    to be generalized, in ascending {!Tpq.Pred.compare} order.  The
+    executor and the termination bounds share this definition. *)
+
+val scored_bits : t -> Tpq.Pred.t array
+(** {!scored_preds} as the environment's own array: element [i] is bit
+    [i].  Shared, not a copy — callers must not mutate it. *)
+
+val bit_penalties : t -> float array
+(** [(bit_penalties env).(i)] is {!predicate_penalty} of bit [i],
+    computed once by {!make}.  Shared — callers must not mutate it. *)
 
 val predicate_penalty : t -> Tpq.Pred.t -> float
 (** π(p) for a scored predicate of the original closure (§4.3.1):
@@ -43,10 +54,47 @@ val predicate_penalty : t -> Tpq.Pred.t -> float
     Attribute predicates have penalty 0 (they are dropped only as a
     side effect of node deletion, §3.3). *)
 
+(** {2 Closure masks}
+
+    A relaxed query keeps the original's variable ids, so the scored
+    predicates of the original closure it still implies can be read
+    straight off its tree, without a {!Tpq.Closure} fixpoint: [pc] from
+    the parent edge, [ad] from ancestry, a positive [contains] from any
+    descendant-or-self (a negated one from the node itself only), tags
+    from the node. *)
+
+type mask
+(** One bit per element of {!scored_bits}: set when the query implies
+    that predicate.  Immutable. *)
+
+val mask : t -> Tpq.Query.t -> mask
+(** The mask of a relaxation of the original query (any query over the
+    original's variable ids): bit [i] is set iff [scored_bits.(i)] lies
+    in the query's closure. *)
+
+val mask_equal : mask -> mask -> bool
+
+val mask_penalty : t -> mask -> float
+(** Σ π over the cleared bits, summed in ascending bit order — the
+    order {!dropped_preds} lists them in. *)
+
+val forced : t -> bool
+(** Whether mask equality decides equivalence between a relaxation of
+    the original query and the result of applying one more operator to
+    it.  True when every variable of the original is tagged, its tags
+    are pairwise distinct, the hierarchy is empty and every [contains]
+    is positive: a homomorphism between two such relaxations must then
+    be the identity, and it exists iff the closures coincide.  False
+    otherwise — with a repeated tag a redundant sibling branch can be
+    deleted without changing the answers (its closure bits go, the
+    query stays equivalent), and a negated [contains] that promotion
+    moved off its original node is outside the original closure, so the
+    mask no longer sees it move. *)
+
 val dropped_preds : t -> Tpq.Query.t -> Tpq.Pred.t list
 (** Predicates of the original closure not implied by the relaxed
-    query: [closure(orig) \ closure(relaxed)], restricted to structural
-    and contains predicates over surviving-or-deleted variables. *)
+    query: [closure(orig) \ closure(relaxed)] restricted to the scored
+    predicates, ascending — the cleared bits of its {!mask}. *)
 
 val base_score : t -> float
 (** Σ w(p) over the structural predicates present in the original query
@@ -62,8 +110,21 @@ val structural_score : t -> Tpq.Query.t -> float
     every answer to the given relaxed query (as evaluated by DPO). *)
 
 val relaxation_penalty : t -> Tpq.Query.t -> float
-(** Σ π(p) over [dropped_preds]. *)
+(** Σ π(p) over [dropped_preds]: {!mask_penalty} of its {!mask}. *)
 
-val score_of_dropped : t -> Tpq.Pred.t list -> float
-(** [base_score − Σ π(p)] for an explicit dropped set — used by the
-    join engine, which tracks per-answer satisfied predicate sets. *)
+val unseen_loss : t -> Tpq.Query.t -> float
+(** The least Σ π(failed) of an inference-closed set of scored
+    predicates that fails at least one predicate the relaxed query
+    still implies; [infinity] when it implies none.  An answer's
+    satisfied set is always inference-closed, so an answer the relaxed
+    query does not return scores at most [base_score − unseen_loss]
+    (§5.1's stopping bound).
+
+    It is the minimum, over the query's set mask bits, of a per-bit
+    table of least losses: exact by enumerating every closed set when
+    the closure has at most 18 scored predicates, a sound lower bound
+    by chasing the inference rules beyond that.  The table is computed
+    by the environment's first call on a query that implies some
+    predicate, and published atomically: a penalty environment shared
+    between domains computes it at most once per racing caller and
+    always reads a complete table. *)

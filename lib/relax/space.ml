@@ -30,22 +30,36 @@ let enumerate ?(hierarchy = Tpq.Hierarchy.empty) ?(max_queries = 500) q0 =
   done;
   List.rev !out
 
+(* Each candidate is applied once.  Its mask gives the penalty, and,
+   where the homomorphism is forced, equivalence with [q] as well;
+   otherwise equivalence takes the containment test. *)
 let cheapest_next env q =
   let hierarchy = Penalty.hierarchy env in
+  let equivalent =
+    if Penalty.forced env then begin
+      let m = Penalty.mask env q in
+      fun _ m' -> Penalty.mask_equal m m'
+    end
+    else fun q' _ -> Op.equivalent ~hierarchy q q'
+  in
   let best = ref None in
   List.iter
     (fun op ->
       match Op.apply ~hierarchy q op with
       | Error _ -> ()
       | Ok q' ->
-        let p = Penalty.relaxation_penalty env q' in
-        let better =
-          match !best with
-          | None -> true
-          | Some (op0, _, p0) -> p < p0 -. 1e-12 || (Float.abs (p -. p0) <= 1e-12 && Op.compare op op0 < 0)
-        in
-        if better then best := Some (op, q', p))
-    (Op.applicable ~hierarchy q);
+        let m' = Penalty.mask env q' in
+        if not (equivalent q' m') then begin
+          let p = Penalty.mask_penalty env m' in
+          let better =
+            match !best with
+            | None -> true
+            | Some (op0, _, p0) ->
+              p < p0 -. 1e-12 || (Float.abs (p -. p0) <= 1e-12 && Op.compare op op0 < 0)
+          in
+          if better then best := Some (op, q', p)
+        end)
+    (Op.candidates ~hierarchy q);
   !best
 
 let sequence ?(max_steps = 32) env =

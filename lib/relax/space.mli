@@ -29,7 +29,13 @@ val cheapest_next : Penalty.t -> Tpq.Query.t -> (Op.t * Tpq.Query.t * float) opt
 (** The applicable operator whose application drops the cheapest
     additional penalty (measured against the original query), with the
     resulting query and its {e total} penalty.  [None] when no operator
-    applies.  Deterministic tie-breaking. *)
+    applies.  Deterministic tie-breaking.
+
+    The operators considered are those of {!Op.applicable}, but the
+    call does not go through it: each of {!Op.candidates} is applied
+    once, and its result's {!Penalty.mask} yields the penalty.  When
+    {!Penalty.forced} holds, mask equality with [q] rejects the
+    candidates equivalent to [q]; otherwise {!Op.equivalent} does. *)
 
 val sequence : ?max_steps:int -> Penalty.t -> entry list
 (** The greedy chain starting at the original query ([ops = []],

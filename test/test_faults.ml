@@ -186,6 +186,17 @@ let test_capacity_error () =
       (Error.exit_code (Error.Capacity { what = ""; limit; actual }))
   | Error e -> Alcotest.failf "expected Capacity, got %s" (Error.to_string e)
 
+(* The planner refuses the same query before building its chain: a
+   relaxation chain no evaluation could use is never paid for. *)
+let test_capacity_before_planning () =
+  let env = Lazy.force article_env in
+  let q = Xpath.parse_exn "//a/b/c/d/e/f/g/h/i/j/k/l" in
+  match Common.build_plan env q with
+  | _ -> Alcotest.fail "expected Capacity_exceeded from build_plan"
+  | exception Joins.Exec.Capacity_exceeded { limit; actual; _ } ->
+    check_int "limit" Joins.Exec.max_scored_preds limit;
+    check_int "11 pc + 66 ad scored predicates" 77 actual
+
 (* ------------------------------------------------------------------ *)
 (* Fault injection: every registered point surfaces as Error.Fault. *)
 
@@ -341,6 +352,7 @@ let () =
       ( "errors",
         [
           Alcotest.test_case "closure capacity is typed" `Quick test_capacity_error;
+          Alcotest.test_case "capacity refused before planning" `Quick test_capacity_before_planning;
           Alcotest.test_case "malformed XML corpus" `Quick test_malformed_xml_corpus;
           Alcotest.test_case "missing file" `Quick test_missing_file_is_io_error;
           Alcotest.test_case "query error offsets" `Quick test_query_error_offsets;

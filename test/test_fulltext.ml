@@ -341,20 +341,7 @@ let test_index_with_bm25 () =
 (* ------------------------------------------------------------------ *)
 (* Golden kernel outputs (see kernel_golden.ml) *)
 
-let read_lines path =
-  In_channel.with_open_text path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
-
-let test_kernel_golden () =
-  let rec compare_from line = function
-    | e :: expected, a :: actual ->
-      if e <> a then Alcotest.failf "line %d:\nexpected %s\nactual   %s" line e a;
-      compare_from (line + 1) (expected, actual)
-    | [], [] -> ()
-    | _ -> Alcotest.failf "line %d: one side ends before the other" line
-  in
-  compare_from 1 (read_lines "kernel_golden.expected", Kernel_golden.lines ())
+let test_kernel_golden () = Golden.check "kernel_golden.expected" (Kernel_golden.lines ())
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)

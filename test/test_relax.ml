@@ -10,6 +10,8 @@ module Query = Tpq.Query
 module Xpath = Tpq.Xpath
 module Semantics = Tpq.Semantics
 module Containment = Tpq.Containment
+module Closure = Tpq.Closure
+module Hierarchy = Tpq.Hierarchy
 module Op = Relax.Op
 module Penalty = Relax.Penalty
 module Space = Relax.Space
@@ -334,6 +336,10 @@ let test_completeness_q3 () =
   check_bool "Q3 reachable" true
     (List.exists (fun (q', _) -> shape_equal q' target) space)
 
+(* Golden planner outputs (see plan_golden.ml) *)
+
+let test_plan_golden () = Golden.check "plan_golden.expected" (Plan_golden.lines ())
+
 (* ------------------------------------------------------------------ *)
 (* Weights *)
 
@@ -484,6 +490,221 @@ let prop_canonical_key_separates =
     gen_query (fun q ->
       List.for_all (fun op -> not (shape_equal q (Op.apply_exn q op))) (Op.applicable q))
 
+(* ------------------------------------------------------------------ *)
+(* Closure masks against their references: the Closure fixpoint, the
+   containment test, the planner they replaced, and §5.1's bound by
+   brute force. *)
+
+type shape =
+  | Distinct  (** distinct tags, no hierarchy: the planner's mask path *)
+  | Repeated  (** two tags only, positive contains: redundant siblings *)
+  | Mixed  (** wildcards, repeated tags, sometimes a hierarchy *)
+
+let mask_hierarchy = Hierarchy.of_list_exn [ ("a", "p"); ("b", "p"); ("c", "a") ]
+
+let gen_mask_doc =
+  let open QCheck2.Gen in
+  sized_size (5 -- 40)
+  @@ fix (fun self n ->
+         let* t = oneofl [ "a"; "b"; "c"; "d"; "e"; "f"; "p" ] in
+         let* ws = list_size (0 -- 2) (oneofl [ "x"; "y"; "z" ]) in
+         let body = if ws = [] then [] else [ Xml.Text (String.concat " " ws) ] in
+         if n <= 1 then return (Xml.Element (t, [], body))
+         else
+           let* kids = list_size (1 -- 3) (self (n / 3)) in
+           return (Xml.Element (t, [], body @ kids)))
+
+(* Queries of up to 6 nodes.  Half are [Distinct], where a quarter of
+   the nodes carry a negated contains: promoted twice, it moves between
+   two nodes outside the original closure, so only the positivity
+   condition keeps the planner off the mask path. *)
+let gen_mask_case =
+  let open QCheck2.Gen in
+  let* shape = frequency [ (2, return Distinct); (1, return Repeated); (1, return Mixed) ] in
+  let* n = 2 -- 6 in
+  let* tags =
+    match shape with
+    | Distinct ->
+      map
+        (fun ts -> List.filteri (fun i _ -> i < n) (List.map Option.some ts))
+        (shuffle_l [ "a"; "b"; "c"; "d"; "e"; "f" ])
+    | Repeated -> list_repeat n (map Option.some (oneofl [ "a"; "b" ]))
+    | Mixed -> list_repeat n (oneofl [ Some "a"; Some "b"; Some "c"; None ])
+  in
+  let positive = oneofl Ftexp.[ Term "x"; And (Term "x", Term "y") ] in
+  let negated = oneofl Ftexp.[ Not (Term "y"); And (Term "x", Not (Term "y")) ] in
+  let one g = map (fun f -> [ f ]) g in
+  let contains =
+    match shape with
+    | Repeated -> frequency [ (3, return []); (1, one positive) ]
+    | Distinct | Mixed -> frequency [ (2, return []); (1, one positive); (1, one negated) ]
+  in
+  let* contains = list_repeat n contains in
+  let* axes = list_repeat n (oneofl [ Query.Child; Query.Descendant ]) in
+  let* parents = flatten_l (List.init n (fun i -> if i = 0 then return 0 else 0 -- (i - 1))) in
+  let* dist = frequency [ (3, return 1); (1, 1 -- n) ] in
+  let* hierarchy =
+    match shape with
+    | Mixed -> oneofl [ Hierarchy.empty; mask_hierarchy ]
+    | Distinct | Repeated -> return Hierarchy.empty
+  in
+  let* doc = gen_mask_doc in
+  let nodes =
+    List.mapi (fun i (tag, contains) -> (i + 1, { Query.tag; attrs = []; contains }))
+      (List.combine tags contains)
+  in
+  let edges =
+    List.concat
+      (List.mapi
+         (fun i (p, a) -> if i = 0 then [] else [ (p + 1, i + 1, a) ])
+         (List.combine parents axes))
+  in
+  return (hierarchy, Query.make_exn ~root:1 ~nodes ~edges ~distinguished:dist, doc)
+
+let print_mask_case (h, q, _) =
+  Printf.sprintf "%s%s" (Xpath.to_string q)
+    (if Hierarchy.is_empty h then "" else "  (with hierarchy)")
+
+(* [closure(orig) \ closure(q)] by the fixpoint, over the scored
+   predicates. *)
+let fixpoint_dropped penv q =
+  let implied = Closure.closure_set (Pred.Set.of_list (Query.to_preds q)) in
+  List.filter (fun p -> not (Pred.Set.mem p implied)) (Penalty.scored_preds penv)
+
+(* The planner the masks replaced: [Op.applicable]'s containment test
+   and a fixpoint per penalty, with [Space.cheapest_next]'s
+   tie-breaking. *)
+let reference_chain penv =
+  let hierarchy = Penalty.hierarchy penv in
+  let penalty q =
+    List.fold_left (fun acc p -> acc +. Penalty.predicate_penalty penv p) 0.0
+      (fixpoint_dropped penv q)
+  in
+  let rec go q ops acc steps =
+    let pick best op =
+      let q' = Op.apply_exn ~hierarchy q op in
+      let p = penalty q' in
+      match best with
+      | Some (op0, _, p0)
+        when not (p < p0 -. 1e-12 || (Float.abs (p -. p0) <= 1e-12 && Op.compare op op0 < 0)) ->
+        best
+      | _ -> Some (op, q', p)
+    in
+    if steps >= 32 then List.rev acc
+    else
+      match List.fold_left pick None (Op.applicable ~hierarchy q) with
+      | None -> List.rev acc
+      | Some (op, q', p) ->
+        let ops = ops @ [ op ] in
+        go q' ops ((ops, Int64.bits_of_float p) :: acc) (steps + 1)
+  in
+  ([], 0L) :: go (Penalty.original penv) [] [] 0
+
+(* §5.1's bound from its definition, for closures of at most 18
+   predicates: the best [base − Σπ(failed)] over the inference-closed
+   sets of scored predicates that fail one the entry still implies.  A
+   set is closed when it holds the fixpoint closure of each pair of its
+   members (every rule of Figure 3 has at most two premises). *)
+let brute_force_bounds penv =
+  let scored = Array.of_list (Penalty.scored_preds penv) in
+  let m = Array.length scored in
+  let bits_of set =
+    let acc = ref 0 in
+    Array.iteri (fun i p -> if Pred.Set.mem p set then acc := !acc lor (1 lsl i)) scored;
+    !acc
+  in
+  let derived =
+    Array.init m (fun i ->
+        Array.init m (fun j ->
+            bits_of (Closure.closure_set (Pred.Set.of_list [ scored.(i); scored.(j) ]))))
+  in
+  let closed s =
+    let ok = ref true and i = ref 0 in
+    while !ok && !i < m do
+      if s land (1 lsl !i) <> 0 then
+        for j = !i to m - 1 do
+          if s land (1 lsl j) <> 0 && derived.(!i).(j) land lnot s <> 0 then ok := false
+        done;
+      incr i
+    done;
+    !ok
+  in
+  let pi = Array.map (Penalty.predicate_penalty penv) scored in
+  let closed_losses = ref [] in
+  for s = 0 to (1 lsl m) - 1 do
+    if closed s then begin
+      let loss = ref 0.0 in
+      for i = 0 to m - 1 do
+        if s land (1 lsl i) = 0 then loss := !loss +. pi.(i)
+      done;
+      closed_losses := (s, !loss) :: !closed_losses
+    end
+  done;
+  let base = Penalty.base_score penv in
+  fun (entry : Space.entry) ->
+    let enforced =
+      bits_of (Closure.closure_set (Pred.Set.of_list (Query.to_preds entry.query)))
+    in
+    List.fold_left
+      (fun best (s, loss) ->
+        if s land enforced <> enforced && base -. loss > best then base -. loss else best)
+      neg_infinity !closed_losses
+
+let prop_masks_match_references =
+  QCheck2.Test.make ~name:"closure masks match the fixpoint, containment and brute force"
+    ~count:250 ~print:print_mask_case gen_mask_case (fun (hierarchy, q, tree) ->
+      let d = Doc.of_tree tree in
+      let st = Stats.build d in
+      Stats.set_index st (Index.build d);
+      let penv = Penalty.make ~hierarchy st Penalty.uniform q in
+      let lattice = Space.enumerate ~hierarchy ~max_queries:40 q in
+      let preds ps = String.concat "; " (List.map Pred.to_string ps) in
+      (* (a) the mask read off the tree is the fixpoint's difference *)
+      List.iter
+        (fun (q', _) ->
+          let direct = Penalty.dropped_preds penv q' and fixpoint = fixpoint_dropped penv q' in
+          if direct <> fixpoint then
+            QCheck2.Test.fail_reportf "dropped sets differ on %s:@ mask [%s]@ fixpoint [%s]"
+              (Xpath.to_string q') (preds direct) (preds fixpoint))
+        lattice;
+      (* (b) on the mask path, mask equality is equivalence *)
+      if Penalty.forced penv then
+        List.iter
+          (fun (q', _) ->
+            List.iter
+              (fun op ->
+                match Op.apply ~hierarchy q' op with
+                | Error _ -> ()
+                | Ok q'' ->
+                  let by_mask = Penalty.mask_equal (Penalty.mask penv q') (Penalty.mask penv q'') in
+                  if by_mask <> Op.equivalent ~hierarchy q' q'' then
+                    QCheck2.Test.fail_reportf "%s on %s: masks equal %b, equivalent %b"
+                      (Op.to_string op) (Xpath.to_string q') by_mask (not by_mask))
+              (Op.candidates ~hierarchy q'))
+          lattice;
+      (* the chain is the one the fixpoint planner builds, bit for bit *)
+      let chain = Space.sequence penv in
+      let got = List.map (fun (e : Space.entry) -> (e.ops, Int64.bits_of_float e.penalty)) chain in
+      if got <> reference_chain penv then
+        QCheck2.Test.fail_reportf "chain differs from the fixpoint planner's";
+      (* (c) every entry's bound is the brute-force maximum, bit for bit *)
+      if List.length (Penalty.scored_preds penv) <= 18 then begin
+        let bound = brute_force_bounds penv in
+        List.iteri
+          (fun i (e : Space.entry) ->
+            let expected = bound e in
+            let sf = Flexpath.Common.unseen_bound Flexpath.Ranking.Structure_first penv e in
+            let comb = Flexpath.Common.unseen_bound Flexpath.Ranking.Combined penv e in
+            if
+              Int64.bits_of_float sf <> Int64.bits_of_float expected
+              || Int64.bits_of_float comb
+                 <> Int64.bits_of_float (expected +. Penalty.max_keyword_score penv)
+            then
+              QCheck2.Test.fail_reportf "entry %d: bound %h, brute force %h" i sf expected)
+          chain
+      end;
+      true)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "relax"
@@ -522,6 +743,7 @@ let () =
           Alcotest.test_case "sequence reaches full relaxation" `Quick test_sequence_reaches_full_relaxation;
           Alcotest.test_case "answers grow along chain" `Quick test_sequence_answers_grow;
           Alcotest.test_case "completeness: Q3 reachable" `Quick test_completeness_q3;
+          Alcotest.test_case "golden planner outputs" `Quick test_plan_golden;
         ] );
       ( "weights",
         [
@@ -536,5 +758,6 @@ let () =
           q prop_sequence_scores_sorted;
           q prop_canonical_key_isomorphic;
           q prop_canonical_key_separates;
+          q prop_masks_match_references;
         ] );
     ]
