@@ -15,8 +15,12 @@
 
    The four sections are the arena document, the inverted index, the
    statistics tables and the type hierarchy, each an independent
-   [Marshal] payload (the index and statistics in document-stripped
-   portable form, so the document is stored exactly once).  Every
+   [Marshal] payload.  Each of the first three is a portable form: the
+   document without its derived sibling-rank column ([Doc.portable],
+   whose layout predates that column, so older snapshots read back
+   unchanged), and the index and statistics without the document, so
+   it is stored exactly once.  [load] recomputes the rank column in one
+   pass over the document; nothing derived is persisted.  Every
    payload is CRC-checked before [Marshal.from_string] ever sees it, so
    a bit-flipped or truncated snapshot yields a typed error instead of
    undefined unmarshaling behaviour.
@@ -79,7 +83,7 @@ let get_u32 s pos =
 let assemble (env : Env.t) =
   let sections =
     [
-      ("DOCM", Marshal.to_string (env.doc : Xmldom.Doc.t) []);
+      ("DOCM", Marshal.to_string (Xmldom.Doc.to_portable env.doc) []);
       ("INDX", Marshal.to_string (Fulltext.Index.to_portable env.index) []);
       ("STAT", Marshal.to_string (Stats.to_portable env.stats) []);
       ("HIER", Marshal.to_string (env.hierarchy : Tpq.Hierarchy.t) []);
@@ -149,10 +153,15 @@ let save (env : Env.t) path =
 (* ------------------------------------------------------------------ *)
 (* v1: bare Marshal behind "FLEXPATH-ENV\x01".  Read-only; the corpus
    of deployed snapshots migrates by re-saving.  No checksums exist, so
-   the Marshal payload is trusted the way v1 always trusted it. *)
+   the Marshal payload is trusted the way v1 always trusted it.
+
+   The index and statistics embed the document they were built over,
+   in whatever layout the writing build gave [Doc.t], so [load_v1]
+   never reads them directly: it strips them to their portable forms
+   and re-attaches the document read from [v1_doc]. *)
 
 type v1_payload = {
-  v1_doc : Xmldom.Doc.t;
+  v1_doc : Xmldom.Doc.portable;
   v1_index : Fulltext.Index.t;
   v1_stats : Stats.t;
   v1_hierarchy : Tpq.Hierarchy.t;
@@ -168,7 +177,12 @@ let save_v1 (env : Env.t) path =
       (fun () ->
         output_string oc v1_magic;
         Marshal.to_channel oc
-          { v1_doc = env.doc; v1_index = env.index; v1_stats = env.stats; v1_hierarchy = env.hierarchy }
+          {
+            v1_doc = Xmldom.Doc.to_portable env.doc;
+            v1_index = env.index;
+            v1_stats = env.stats;
+            v1_hierarchy = env.hierarchy;
+          }
           []);
     Ok ()
   with
@@ -192,11 +206,15 @@ let load_v1 ~weights path data =
     | _ -> (
       match (Marshal.from_string data ofs : v1_payload) with
       | payload ->
+        let doc = Xmldom.Doc.of_portable payload.v1_doc in
+        let index =
+          Fulltext.Index.of_portable doc (Fulltext.Index.to_portable payload.v1_index)
+        in
+        let stats = Stats.of_portable doc (Stats.to_portable payload.v1_stats) in
         Ok
-          ( Env.of_parts ~weights ~doc:payload.v1_doc ~index:payload.v1_index
-              ~stats:payload.v1_stats ~hierarchy:payload.v1_hierarchy (),
+          ( Env.of_parts ~weights ~doc ~index ~stats ~hierarchy:payload.v1_hierarchy (),
             Migrated { version = 1 } )
-      | exception Failure message ->
+      | exception (Failure message | Invalid_argument message) ->
         snap path (Error.Malformed_section { section = "v1 marshal payload"; message })
       | exception End_of_file -> snap path (Error.Truncated { at = "v1 marshal payload" }))
 
@@ -321,11 +339,13 @@ let load ?(weights = Relax.Penalty.uniform) path =
           | Some ds when not ds.s_crc_ok ->
             snap path (Error.Checksum_mismatch { section = "document" })
           | Some ds -> (
-            match (unmarshal_section data ds : Xmldom.Doc.t option) with
+            match Option.map Xmldom.Doc.of_portable (unmarshal_section data ds) with
             | None ->
               snap path
                 (Error.Malformed_section
                    { section = "document"; message = "payload does not deserialize" })
+            | exception Invalid_argument message ->
+              snap path (Error.Malformed_section { section = "document"; message })
             | Some doc ->
               (* Derived sections: deserialize what survived, rebuild
                  the rest from the document. *)

@@ -3,7 +3,9 @@
     Building the index and statistics is a full pass over the document;
     for repeated querying of the same collection, [save] persists the
     arena document, inverted index, statistics and type hierarchy so
-    [load] restores them without re-parsing or re-indexing.
+    [load] restores them without re-parsing or re-indexing.  The
+    document is stored as {!Xmldom.Doc.portable}, without its derived
+    sibling-rank column, which [load] recomputes in one pass.
 
     The on-disk format (v2) is sectioned and checksummed: a header with
     a CRC-protected table of contents, one independent length-prefixed

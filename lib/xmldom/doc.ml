@@ -16,7 +16,89 @@ type t = {
   chunk_owner : int array;
   chunk_text : string array;
   by_tag : elem array array;
+  (* Derived, never persisted: each element's 1-based rank among its
+     same-tag siblings (1 for the root), so a location path reads off
+     in O(depth). *)
+  same_tag_rank : int array;
 }
+
+(* [t] without its derived column: the record snapshots marshal.  Its
+   fields and their order are the on-disk format, so they never
+   change. *)
+type portable = {
+  p_tags : Tag.table;
+  p_n : int;
+  p_tag : int array;
+  p_post : int array;
+  p_level : int array;
+  p_parent : int array;
+  p_subtree_end : int array;
+  p_attrs : Xml.attr list array;
+  p_content : int array array;
+  p_chunk_owner : int array;
+  p_chunk_text : string array;
+  p_by_tag : elem array array;
+}
+
+(* Rank [p]'s element children among their same-tag siblings.
+   [last.(t)] is the child most recently ranked with tag [t]: a child
+   continues its rank when that one shares its parent, and restarts at
+   1 otherwise.  The root is nobody's child, so [0] also means "none
+   yet", and a pass over many parents needs no per-parent reset. *)
+let rank_children ~tag ~parent ~content ~last rank p =
+  let items = content.(p) in
+  for i = 0 to Array.length items - 1 do
+    let c = items.(i) in
+    if c >= 0 then begin
+      let t = tag.(c) in
+      let q = last.(t) in
+      rank.(c) <- (if parent.(q) = p then rank.(q) + 1 else 1);
+      last.(t) <- c
+    end
+  done
+
+(* The whole column, in one pass over the content arrays. *)
+let rank_all tags ~tag ~parent ~content =
+  let n = Array.length tag in
+  let rank = Array.make n 1 in
+  let last = Array.make (Tag.count tags) 0 in
+  for p = 0 to n - 1 do
+    rank_children ~tag ~parent ~content ~last rank p
+  done;
+  rank
+
+let to_portable d =
+  {
+    p_tags = d.tags;
+    p_n = d.n;
+    p_tag = d.tag;
+    p_post = d.post;
+    p_level = d.level;
+    p_parent = d.parent;
+    p_subtree_end = d.subtree_end;
+    p_attrs = d.attrs;
+    p_content = d.content;
+    p_chunk_owner = d.chunk_owner;
+    p_chunk_text = d.chunk_text;
+    p_by_tag = d.by_tag;
+  }
+
+let of_portable p =
+  {
+    tags = p.p_tags;
+    n = p.p_n;
+    tag = p.p_tag;
+    post = p.p_post;
+    level = p.p_level;
+    parent = p.p_parent;
+    subtree_end = p.p_subtree_end;
+    attrs = p.p_attrs;
+    content = p.p_content;
+    chunk_owner = p.p_chunk_owner;
+    chunk_text = p.p_chunk_text;
+    by_tag = p.p_by_tag;
+    same_tag_rank = rank_all p.p_tags ~tag:p.p_tag ~parent:p.p_parent ~content:p.p_content;
+  }
 
 let count_chunks tree =
   let rec go acc = function
@@ -97,6 +179,7 @@ let of_tree tree =
     chunk_owner = (if n_chunks = 0 then [||] else chunk_owner);
     chunk_text = (if n_chunks = 0 then [||] else chunk_text);
     by_tag;
+    same_tag_rank = rank_all tags ~tag ~parent ~content;
   }
 
 (* Append [new_kids] as the last children of the root, producing the
@@ -107,8 +190,11 @@ let of_tree tree =
    end of its content.  New elements take pre-order ids from [n], posts
    from [n - 1] (the slot the root vacates), chunks from the old chunk
    count; per-tag posting arrays stay sorted because every new id is
-   larger than every old one.  The input document is not mutated: the
-   intern table is copied before the new trees introduce tags. *)
+   larger than every old one.  Same-tag ranks carry over; the root's
+   children are ranked again, old ones first, so the new ones continue
+   the old per-tag counts, and the new subtrees are ranked afresh.  The
+   input document is not mutated: the intern table is copied before
+   the new trees introduce tags. *)
 let append_trees d new_kids =
   List.iter
     (fun t ->
@@ -192,7 +278,27 @@ let append_trees d new_kids =
       by_tag.(t).(fill.(t)) <- e;
       fill.(t) <- fill.(t) + 1
     done;
-    { tags; n = n'; tag; post; level; parent; subtree_end; attrs; content; chunk_owner; chunk_text; by_tag }
+    let same_tag_rank = extend d.same_tag_rank n' 1 in
+    let last = Array.make nt 0 in
+    rank_children ~tag ~parent ~content ~last same_tag_rank 0;
+    for p = n to n' - 1 do
+      rank_children ~tag ~parent ~content ~last same_tag_rank p
+    done;
+    {
+      tags;
+      n = n';
+      tag;
+      post;
+      level;
+      parent;
+      subtree_end;
+      attrs;
+      content;
+      chunk_owner;
+      chunk_text;
+      by_tag;
+      same_tag_rank;
+    }
   end
 
 let of_string s = Result.map of_tree (Xml_parser.parse s)
@@ -328,26 +434,17 @@ let to_tree d = tree_of d 0
 let serialized_size d = String.length (Xml.to_string (to_tree d))
 
 let path_to_root d e =
-  let sibling_rank e =
-    (* 1-based rank of [e] among same-tag siblings. *)
-    match parent d e with
-    | None -> 1
-    | Some p ->
-      let rank = ref 0 in
-      let found = ref 1 in
-      List.iter
-        (fun c ->
-          if d.tag.(c) = d.tag.(e) then begin
-            incr rank;
-            if c = e then found := !rank
-          end)
-        (children d p);
-      !found
+  let b = Buffer.create 64 in
+  let rec go e =
+    let p = d.parent.(e) in
+    if p >= 0 then begin
+      go p;
+      Buffer.add_char b '/'
+    end;
+    Buffer.add_string b (tag_name d e);
+    Buffer.add_char b '[';
+    Buffer.add_string b (string_of_int d.same_tag_rank.(e));
+    Buffer.add_char b ']'
   in
-  let rec go e acc =
-    let step = Printf.sprintf "%s[%d]" (tag_name d e) (sibling_rank e) in
-    match parent d e with
-    | None -> step :: acc
-    | Some p -> go p (step :: acc)
-  in
-  String.concat "/" (go e [])
+  go e;
+  Buffer.contents b

@@ -6,7 +6,12 @@
     et al. (ICDE 2002) require.  Character data is kept as a flat array of
     (owner, text) chunks in document order, so full-text indexing can
     assign globally increasing token positions whose per-subtree ranges
-    are contiguous. *)
+    are contiguous.
+
+    Next to those columns a document holds one derived column, each
+    element's 1-based rank among its same-tag siblings, which
+    {!path_to_root} reads.  It is recomputed, never stored: the fields
+    of [t] are not the snapshot format, {!portable} is. *)
 
 type elem = int
 (** An element id: the pre-order rank of the element. *)
@@ -136,4 +141,25 @@ val serialized_size : t -> int
     report document sizes. *)
 
 val path_to_root : t -> elem -> string
-(** Human-readable location like ["article[3]/section[1]/p[2]"]. *)
+(** [path_to_root d e] is [e]'s location path from the root, root step
+    included, each step the tag and the element's 1-based rank among
+    its same-tag siblings: ["collection[1]/article[3]/section[1]"].
+    O(depth of [e]): the ranks are a column of [d], not a scan of each
+    parent's children. *)
+
+(** {2 Snapshot form} *)
+
+type portable
+(** The document without its derived columns: what snapshot storage
+    marshals.  Its layout is the record [t] had before the sibling-rank
+    column, so snapshots written before and after that column are the
+    same bytes.  Closure-free, safe to [Marshal]. *)
+
+val to_portable : t -> portable
+(** [to_portable d] shares every array with [d]; it copies none. *)
+
+val of_portable : portable -> t
+(** Shares every array with the portable form and recomputes the
+    derived column in one pass over the content arrays.
+    @raise Invalid_argument when the columns disagree (an element id out
+    of range), which a payload [to_portable] produced never does. *)

@@ -288,6 +288,58 @@ let test_v1_migration () =
           | Error e -> Alcotest.failf "v1 trailing: %s" (Error.to_string e)
           | Ok _ -> Alcotest.fail "v1 trailing garbage accepted"))
 
+(* ------------------------------------------------------------------ *)
+(* Snapshots written by an earlier build *)
+
+(* [fixtures/articles-v2.env] and [fixtures/articles-v1.env] were
+   written by [Storage.save] and [Storage.save_v1] of the build before
+   [Doc.t] gained its derived sibling-rank column, over
+   [Xmark.Articles.doc ~seed:7 ~count:6] with the hierarchy above.
+   [Marshal] does not check types, so only files from another build
+   show whether today's loader still reads yesterday's bytes; never
+   regenerate them with the current code. *)
+let parent_fixture_query = "//section[./algorithm and ./paragraph[.contains(\"xml\")]]"
+
+let rendered env =
+  match Flexpath.top_k_xpath env ~k:3 parent_fixture_query with
+  | Ok answers -> List.map (Format.asprintf "%a" (Answer.pp env.Env.doc)) answers
+  | Error e -> Alcotest.failf "fixture query failed: %s" (Error.to_string e)
+
+let all_paths (env : Env.t) =
+  List.init (Xmldom.Doc.size env.doc) (Xmldom.Doc.path_to_root env.doc)
+
+let test_parent_fixtures () =
+  let fresh = Env.make ~hierarchy (Xmark.Articles.doc ~seed:7 ~count:6 ()) in
+  check_int "fresh answers" 3 (List.length (rendered fresh));
+  let check_env name (env : Env.t) =
+    check_int (name ^ ": elements") (Xmldom.Doc.size fresh.doc) (Xmldom.Doc.size env.doc);
+    Alcotest.(check (list string)) (name ^ ": every path") (all_paths fresh) (all_paths env);
+    Alcotest.(check (list string)) (name ^ ": rendered answers") (rendered fresh) (rendered env)
+  in
+  let v2 = "fixtures/articles-v2.env" and v1 = "fixtures/articles-v1.env" in
+  (match Storage.load v2 with
+  | Ok (env, Storage.Intact) ->
+    check_env "v2" env;
+    let path = temp_name ".env" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        (match Storage.save env path with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "re-save failed: %s" (Error.to_string e));
+        check_bool "re-saved v2 is byte-identical" true (read_file path = read_file v2))
+  | Ok (_, o) -> Alcotest.failf "v2 fixture: expected intact, got %s" (Storage.outcome_to_string o)
+  | Error e -> Alcotest.failf "v2 fixture: %s" (Error.to_string e));
+  (match Storage.verify v2 with
+  | Ok report -> check_bool "v2 fixture verifies intact" true report.Storage.intact
+  | Error e -> Alcotest.failf "v2 fixture verify: %s" (Error.to_string e));
+  match Storage.load v1 with
+  | Ok (env, Storage.Migrated { version }) ->
+    check_int "v1 fixture migrated from" 1 version;
+    check_env "v1" env
+  | Ok (_, o) -> Alcotest.failf "v1 fixture: expected migrated, got %s" (Storage.outcome_to_string o)
+  | Error e -> Alcotest.failf "v1 fixture: %s" (Error.to_string e)
+
 let test_not_a_snapshot () =
   List.iter
     (fun (name, content) ->
@@ -402,6 +454,7 @@ let () =
         [
           Alcotest.test_case "future version is typed skew" `Quick test_version_skew;
           Alcotest.test_case "v1 migration path" `Quick test_v1_migration;
+          Alcotest.test_case "snapshots written by an earlier build" `Quick test_parent_fixtures;
         ] );
       ( "crash safety",
         [

@@ -255,24 +255,44 @@ let test_tag_growth () =
 (* ------------------------------------------------------------------ *)
 (* Property tests *)
 
-let gen_tree =
+(* Trees over [tag_gen] whose inner nodes have [width] element
+   children, each followed by a text chunk half the time; a child of a
+   node with size budget [n] among [k] siblings gets [kid_size n k]. *)
+let sized_tree ~tag_gen ~width ~kid_size =
   let open QCheck2.Gen in
-  let tag_gen = oneofl [ "a"; "b"; "c"; "d" ] in
   let text_gen = map (fun s -> "t" ^ s) (string_size ~gen:(char_range 'a' 'z') (1 -- 6)) in
   let kid_gen self n =
-    let* k = self (n / 2) in
+    let* k = self n in
     let* with_text = bool in
     if with_text then
       let* t = text_gen in
       return [ k; Xml.Text t ]
     else return [ k ]
   in
-  sized @@ fix (fun self n ->
+  fix (fun self n ->
       if n <= 0 then map (fun t -> Xml.Element (t, [], [])) tag_gen
       else
         let* t = tag_gen in
-        let* kid_lists = list_size (1 -- 3) (kid_gen self n) in
+        let* k = width in
+        let* kid_lists = list_repeat k (kid_gen self (kid_size n k)) in
         return (Xml.Element (t, [], List.concat kid_lists)))
+
+let gen_tree =
+  QCheck2.Gen.(
+    sized
+      (sized_tree ~tag_gen:(oneofl [ "a"; "b"; "c"; "d" ]) ~width:(1 -- 3) ~kid_size:(fun n _ -> n / 2)))
+
+(* Weighted toward what same-tag ranks depend on: two dominant tags, so
+   siblings repeat tags; parents up to 16 wide; text between siblings.
+   The size budget, at most 200, is split among the children, so a tree
+   has about as many elements as its budget. *)
+let gen_ranked_tree =
+  QCheck2.Gen.(
+    sized_size (0 -- 200)
+      (sized_tree
+         ~tag_gen:(frequencyl [ (4, "a"); (2, "b"); (1, "c") ])
+         ~width:(frequency [ (3, 1 -- 3); (2, 4 -- 16) ])
+         ~kid_size:(fun n k -> (n - 1) / k)))
 
 let prop_parse_serialize_roundtrip =
   QCheck2.Test.make ~name:"parse(to_string(t)) = t" ~count:200 gen_tree (fun t ->
@@ -311,6 +331,118 @@ let prop_subtree_end =
               let inside = e' > e && e' < Doc.subtree_end d e in
               if inside <> Doc.is_ancestor d e e' then ok := false));
       !ok)
+
+(* ------------------------------------------------------------------ *)
+(* Location paths *)
+
+(* The list-scan definition [Doc.path_to_root] was first written with:
+   each step's rank is found by listing all of the parent's children. *)
+let reference_path d e =
+  let sibling_rank e =
+    match Doc.parent d e with
+    | None -> 1
+    | Some p ->
+      let rank = ref 0 in
+      let found = ref 1 in
+      List.iter
+        (fun c ->
+          if Doc.tag d c = Doc.tag d e then begin
+            incr rank;
+            if c = e then found := !rank
+          end)
+        (Doc.children d p);
+      !found
+  in
+  let rec go e acc =
+    let step = Printf.sprintf "%s[%d]" (Doc.tag_name d e) (sibling_rank e) in
+    match Doc.parent d e with
+    | None -> step :: acc
+    | Some p -> go p (step :: acc)
+  in
+  String.concat "/" (go e [])
+
+(* The first element whose path differs from [expected d e], if any. *)
+let path_mismatch d expected =
+  let bad = ref None in
+  Doc.iter_elements d (fun e ->
+      if !bad = None && Doc.path_to_root d e <> expected e then bad := Some e);
+  !bad
+
+let paths_agree d expected =
+  match path_mismatch d expected with
+  | None -> true
+  | Some e ->
+    QCheck2.Test.fail_reportf "element %d: path %S, expected %S" e (Doc.path_to_root d e)
+      (expected e)
+
+let prop_path_reference =
+  QCheck2.Test.make ~name:"path_to_root = list-scan reference" ~count:300 gen_ranked_tree
+    (fun t ->
+      let d = Doc.of_tree t in
+      paths_agree d (reference_path d))
+
+let test_path_reference_xmark () =
+  let check name d =
+    match path_mismatch d (reference_path d) with
+    | None -> ()
+    | Some e ->
+      Alcotest.failf "%s: element %d: path %S, expected %S" name e (Doc.path_to_root d e)
+        (reference_path d e)
+  in
+  List.iter
+    (fun seed ->
+      check (Printf.sprintf "auction seed %d" seed) (Xmark.Auction.doc ~seed ~items:40 ());
+      check (Printf.sprintf "articles seed %d" seed) (Xmark.Articles.doc ~seed ~count:60 ()))
+    [ 1; 7; 2004 ]
+
+(* A base tree, then 1-4 appends of 1-4 trees each.  The appended roots
+   draw from the base's tags and from two tags the base never uses. *)
+let gen_append_chain =
+  let open QCheck2.Gen in
+  let batch_tree =
+    sized_size (0 -- 12)
+      (sized_tree
+         ~tag_gen:(frequencyl [ (3, "a"); (2, "b"); (1, "c"); (2, "e"); (1, "f") ])
+         ~width:(1 -- 4)
+         ~kid_size:(fun n k -> (n - 1) / k))
+  in
+  pair gen_ranked_tree (list_size (1 -- 4) (list_size (1 -- 4) batch_tree))
+
+let prop_path_after_appends =
+  QCheck2.Test.make ~name:"path_to_root after append_trees = fresh of_tree" ~count:200
+    gen_append_chain (fun (base, batches) ->
+      let rec go d tree = function
+        | [] -> true
+        | batch :: rest ->
+          let tree =
+            match tree with
+            | Xml.Element (name, attrs, kids) -> Xml.Element (name, attrs, kids @ batch)
+            | Xml.Text _ -> assert false
+          in
+          let d = Doc.append_trees d batch in
+          let fresh = Doc.of_tree tree in
+          paths_agree d (Doc.path_to_root fresh)
+          && paths_agree d (reference_path d)
+          && go d tree rest
+      in
+      go (Doc.of_tree base) base batches)
+
+(* A path costs O(depth): rendering the last article of a collection
+   allocates the same whether the collection root has 10 children or
+   5000. *)
+let test_path_allocation_flat () =
+  let words count =
+    let d = Xmark.Articles.doc ~seed:3 ~count () in
+    let arts = Doc.by_tag_name d "article" in
+    let last = arts.(Array.length arts - 1) in
+    ignore (Doc.path_to_root d last);
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Doc.path_to_root d last));
+    int_of_float (Gc.minor_words () -. before)
+  in
+  let small = words 10 in
+  let large = words 5000 in
+  check_int (Printf.sprintf "minor words, 5000 vs 10 articles (%d)" small) small large
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -367,5 +499,12 @@ let () =
           q prop_doc_tree_roundtrip;
           q prop_sax_agrees_with_dom;
           q prop_subtree_end;
+        ] );
+      ( "paths",
+        [
+          q prop_path_reference;
+          Alcotest.test_case "xmark documents match the reference" `Quick test_path_reference_xmark;
+          q prop_path_after_appends;
+          Alcotest.test_case "allocation does not grow with fan-out" `Quick test_path_allocation_flat;
         ] );
     ]
