@@ -22,6 +22,8 @@ module Xpath = Tpq.Xpath
 module Env = Flexpath.Env
 module Ranking = Flexpath.Ranking
 module Failpoint = Flexpath.Failpoint
+module Json = Flexpath_loadgen.Json
+module Loadgen = Flexpath_loadgen.Loadgen
 
 let items_per_paper_mb = 200
 
@@ -87,6 +89,16 @@ let row label cells =
   flush stdout
 
 let ms v = Printf.sprintf "%.1f" v
+
+(* The ablations that back a README or DESIGN.md claim also persist
+   their numbers as BENCH_<bench>.json, under the envelope
+   [flexpath bench check] gates. *)
+let write_artifact bench body =
+  let path = Printf.sprintf "BENCH_%s.json" bench in
+  Loadgen.write_artifact path (Loadgen.artifact ~bench body);
+  Printf.printf "  [artifact] %s written\n%!" path
+
+let int_num n = Json.Num (float_of_int n)
 
 (* ------------------------------------------------------------------ *)
 (* Figures *)
@@ -404,277 +416,6 @@ let abl_approxml ~quick () =
           [ string_of_int (Approxml.edge_count t); ms build_ms; ms eval_ms; ms sso_ms ]))
     (if quick then [ 1.0; 5.0 ] else [ 1.0; 10.0; 25.0; 50.0; 100.0 ])
 
-(* The query server (§4e): what a resident environment buys over
-   rebuilding it per query, and how the admission queue depth shapes
-   throughput and load shedding when more clients connect than there
-   are workers. *)
-let abl_serve ~quick () =
-  let module Server = Flexpath_server.Server in
-  let module Protocol = Flexpath_server.Protocol in
-  let mb = if quick then 1.0 else 5.0 in
-  let env = env_for_mb mb in
-  let items = max 10 (int_of_float (mb *. float_of_int items_per_paper_mb)) in
-  let request = Printf.sprintf "QUERY k=50 %s" q1_str in
-  let connect port =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    (fd, Unix.in_channel_of_descr fd)
-  in
-  let send fd line =
-    let b = Bytes.of_string (line ^ "\n") in
-    let n = Bytes.length b in
-    let off = ref 0 in
-    while !off < n do
-      off := !off + Unix.write fd b !off (n - !off)
-    done
-  in
-  let recv ic =
-    let read_line () = match input_line ic with l -> Some l | exception _ -> None in
-    let read_bytes n =
-      let b = Bytes.create n in
-      match really_input ic b 0 n with
-      | () -> Some (Bytes.to_string b)
-      | exception _ -> None
-    in
-    Protocol.read_response ~read_line ~read_bytes
-  in
-  let with_server cfg f =
-    match Server.create cfg ~env with
-    | Error e -> failwith (Flexpath.Error.to_string e)
-    | Ok t ->
-      let d = Domain.spawn (fun () -> Server.serve t) in
-      Fun.protect
-        ~finally:(fun () ->
-          Server.stop t;
-          Domain.join d)
-        (fun () -> f (Server.port t))
-  in
-  header "Ablation: query server"
-    (Printf.sprintf
-       "Resident vs rebuild-per-query latency (Q1, K=50, %gMB), then 16 reconnecting clients \
-        against the admission queue; time in ms"
-       mb)
-    [ "time"; "served"; "rejected"; "req/s" ];
-  (* Cold: what every query pays without a server — rebuild the
-     environment, then answer. *)
-  let q = Xpath.parse_exn q1_str in
-  let doc = Xmark.Auction.doc ~seed:2004 ~items () in
-  let _, cold_ms =
-    time_median (fun () ->
-        let cold_env = Env.make doc in
-        Flexpath.run_exn cold_env ~k:50 q)
-  in
-  row "cold" [ ms cold_ms; "1"; "-"; "-" ];
-  (* Resident: one held connection; the time includes the loopback
-     round-trip and response formatting, i.e. what a client sees. *)
-  with_server Server.default_config (fun port ->
-      let fd, ic = connect port in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let _, warm_ms =
-            time_median (fun () ->
-                send fd request;
-                match recv ic with
-                | Some (Protocol.Ok_, _) -> ()
-                | _ -> failwith "resident query failed")
-          in
-          row "resident" [ ms warm_ms; "1"; "-"; "-" ]));
-  (* Throughput: one connection per request and more clients than
-     workers, so the admission queue is the contended resource.
-     Shallow queues shed load as OVERLOADED; deep queues serve all. *)
-  let clients = 16 and per_client = if quick then 15 else 40 in
-  List.iter
-    (fun depth ->
-      let cfg = { Server.default_config with Server.queue_depth = depth } in
-      with_server cfg (fun port ->
-          let served = Atomic.make 0 and rejected = Atomic.make 0 in
-          let client () =
-            for _ = 1 to per_client do
-              match connect port with
-              | exception Unix.Unix_error _ -> Atomic.incr rejected
-              | fd, ic ->
-                Fun.protect
-                  ~finally:(fun () -> close_in_noerr ic)
-                  (fun () ->
-                    match
-                      send fd request;
-                      recv ic
-                    with
-                    | Some ((Protocol.Ok_ | Protocol.Partial), _) -> Atomic.incr served
-                    | Some _ | None | (exception _) -> Atomic.incr rejected)
-            done
-          in
-          let _, wall_ms =
-            time (fun () ->
-                let ds = List.init clients (fun _ -> Domain.spawn client) in
-                List.iter Domain.join ds)
-          in
-          let served = Atomic.get served in
-          row
-            (Printf.sprintf "queue=%d" depth)
-            [
-              ms wall_ms;
-              string_of_int served;
-              string_of_int (Atomic.get rejected);
-              Printf.sprintf "%.0f" (float_of_int served /. (wall_ms /. 1000.0));
-            ]))
-    [ 1; 8; 64 ]
-
-(* The query cache (DESIGN.md §4f): what the answer tier buys on a
-   repeated shape in-process, then through the server under a
-   Zipf-skewed query mix at several admission-queue depths — realistic
-   workloads repeat a few shapes often, so the hit rate and throughput
-   are the interesting outputs. *)
-let abl_cache ~quick () =
-  let module Server = Flexpath_server.Server in
-  let module Protocol = Flexpath_server.Protocol in
-  let mb = if quick then 1.0 else 5.0 in
-  let env = env_for_mb mb in
-  let q = Xpath.parse_exn q1_str in
-  header "Ablation: query cache"
-    (Printf.sprintf
-       "Cold vs answer-tier hit (Q1, K=50, %gMB), then 8 clients on a Zipf query mix; time in ms"
-       mb)
-    [ "time"; "served"; "hit-rate"; "req/s" ];
-  (* Cold: every run pays chain construction, join-plan compilation and
-     the joins themselves.  Warm: the same query served from the answer
-     tier. *)
-  let _, cold_ms = time_median (fun () -> Flexpath.run_exn env ~k:50 q) in
-  row "cold" [ ms cold_ms; "1"; "-"; "-" ];
-  let cache = Flexpath.Qcache.create () in
-  let _ = Flexpath.run_exn ~cache env ~k:50 q in
-  let _, warm_ms = time_median (fun () -> Flexpath.run_exn ~cache env ~k:50 q) in
-  row "warm" [ Printf.sprintf "%.3f" warm_ms; "1"; "-"; "-" ];
-  row "speedup" [ Printf.sprintf "%.0fx" (cold_ms /. Float.max warm_ms 1e-6); "-"; "-"; "-" ];
-  (* The server side: a Zipf mix (weight 1/rank over eight query lines)
-     issued by more clients than workers.  Every request pays the
-     loopback round-trip; the cache's contribution shows up as
-     throughput and as the hit rate reported by STATS. *)
-  let pool =
-    [|
-      Printf.sprintf "QUERY k=50 %s" q1_str;
-      Printf.sprintf "QUERY k=20 %s" q1_str;
-      Printf.sprintf "QUERY k=50 %s" q2_str;
-      Printf.sprintf "QUERY k=20 %s" q2_str;
-      Printf.sprintf "QUERY k=50 %s" q3_str;
-      Printf.sprintf "QUERY k=20 %s" q3_str;
-      Printf.sprintf "QUERY k=10 scheme=combined %s" q1_str;
-      Printf.sprintf "QUERY k=10 algo=dpo %s" q2_str;
-    |]
-  in
-  let n = Array.length pool in
-  let weights = Array.init n (fun i -> 1.0 /. float_of_int (i + 1)) in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  (* A per-client 48-bit LCG (the drand48 constants) keeps the mix
-     deterministic across runs. *)
-  let next_state s = ((s * 25214903917) + 11) land ((1 lsl 48) - 1) in
-  let pick s =
-    let u = float_of_int (s lsr 16) /. float_of_int (1 lsl 32) *. total in
-    let rec go i acc =
-      if i = n - 1 then i
-      else
-        let acc = acc +. weights.(i) in
-        if u < acc then i else go (i + 1) acc
-    in
-    go 0 0.0
-  in
-  let connect port =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    (fd, Unix.in_channel_of_descr fd)
-  in
-  let send fd line =
-    let b = Bytes.of_string (line ^ "\n") in
-    let n = Bytes.length b in
-    let off = ref 0 in
-    while !off < n do
-      off := !off + Unix.write fd b !off (n - !off)
-    done
-  in
-  let recv ic =
-    let read_line () = match input_line ic with l -> Some l | exception _ -> None in
-    let read_bytes n =
-      let b = Bytes.create n in
-      match really_input ic b 0 n with
-      | () -> Some (Bytes.to_string b)
-      | exception _ -> None
-    in
-    Protocol.read_response ~read_line ~read_bytes
-  in
-  let with_server cfg f =
-    match Server.create cfg ~env with
-    | Error e -> failwith (Flexpath.Error.to_string e)
-    | Ok t ->
-      let d = Domain.spawn (fun () -> Server.serve t) in
-      Fun.protect
-        ~finally:(fun () ->
-          Server.stop t;
-          Domain.join d)
-        (fun () -> f (Server.port t))
-  in
-  let stat_int body name =
-    let prefix = name ^ ": " in
-    String.split_on_char '\n' body
-    |> List.find_map (fun line ->
-           if
-             String.length line > String.length prefix
-             && String.sub line 0 (String.length prefix) = prefix
-           then
-             int_of_string_opt
-               (String.sub line (String.length prefix) (String.length line - String.length prefix))
-           else None)
-    |> Option.value ~default:0
-  in
-  let clients = 8 and per_client = if quick then 20 else 60 in
-  List.iter
-    (fun depth ->
-      let cfg = { Server.default_config with Server.queue_depth = depth } in
-      with_server cfg (fun port ->
-          let served = Atomic.make 0 in
-          let client id () =
-            let fd, ic = connect port in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () ->
-                let s = ref (next_state (0x9E3779B9 * (id + 1))) in
-                for _ = 1 to per_client do
-                  s := next_state !s;
-                  match
-                    send fd pool.(pick !s);
-                    recv ic
-                  with
-                  | Some ((Protocol.Ok_ | Protocol.Partial), _) -> Atomic.incr served
-                  | Some _ | None | (exception _) -> ()
-                done)
-          in
-          let _, wall_ms =
-            time (fun () ->
-                let ds = List.init clients (fun id -> Domain.spawn (client id)) in
-                List.iter Domain.join ds)
-          in
-          let hits, misses =
-            let fd, ic = connect port in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () ->
-                send fd "STATS";
-                match recv ic with
-                | Some (Protocol.Ok_, body) ->
-                  (stat_int body "cache_hits", stat_int body "cache_misses")
-                | _ -> (0, 0))
-          in
-          let served = Atomic.get served in
-          row
-            (Printf.sprintf "queue=%d" depth)
-            [
-              ms wall_ms;
-              string_of_int served;
-              Printf.sprintf "%.0f%%" (100.0 *. float_of_int hits /. float_of_int (max 1 (hits + misses)));
-              Printf.sprintf "%.0f" (float_of_int served /. (wall_ms /. 1000.0));
-            ]))
-    [ 1; 8; 64 ]
-
 (* Worker supervision (DESIGN.md §4g): what heartbeat-driven loss
    recovery buys under injected wedges.  Retrying clients issue a fixed
    workload while a fraction of requests wedge their worker; with
@@ -750,15 +491,12 @@ let abl_supervision ~quick () =
             let latencies =
               Array.to_list latency_of |> List.concat |> List.sort Float.compare |> Array.of_list
             in
-            let p99 = latencies.(min (Array.length latencies - 1)
-                                    (int_of_float (0.99 *. float_of_int (Array.length latencies))))
-            in
             let served = Atomic.get served in
             row
               (Printf.sprintf "wedge=%d%% sup=%s" wedge_pct (if supervise then "on" else "off"))
               [
                 string_of_int served;
-                ms p99;
+                ms (Loadgen.percentile latencies 99.0);
                 Printf.sprintf "%.0f" (float_of_int served /. (wall_ms /. 1000.0));
                 string_of_int (Metrics.snapshot (Server.metrics srv)).Metrics.lost;
               ]))
@@ -798,10 +536,6 @@ let abl_ingest ~quick () =
        search revision %d</paragraph><paragraph>structural relaxation benchmark \
        payload</paragraph></section></article>"
       n n
-  in
-  let percentile sorted p =
-    if Array.length sorted = 0 then 0.0
-    else sorted.(min (Array.length sorted - 1) (int_of_float (p /. 100.0 *. float_of_int (Array.length sorted))))
   in
   match Server.create cfg ~env with
   | Error e -> failwith (Flexpath.Error.to_string e)
@@ -891,40 +625,42 @@ let abl_ingest ~quick () =
           in
           let stale = List.sort Float.compare !staleness |> Array.of_list in
           let s = Metrics.snapshot (Server.metrics srv) in
-          let q_p50 = percentile lat 50.0 and q_p99 = percentile lat 99.0 in
-          let st_p50 = percentile stale 50.0
-          and st_p95 = percentile stale 95.0
-          and st_max = percentile stale 100.0 in
+          let q_p50 = Loadgen.percentile lat 50.0 and q_p99 = Loadgen.percentile lat 99.0 in
+          let st_p50 = Loadgen.percentile stale 50.0
+          and st_p95 = Loadgen.percentile stale 95.0
+          and st_max = Loadgen.percentile stale 100.0 in
           row "query-p50-ms" [ ms q_p50 ];
           row "query-p99-ms" [ ms q_p99 ];
           row "staleness-p50" [ ms st_p50 ];
           row "staleness-p95" [ ms st_p95 ];
           row "staleness-max" [ ms st_max ];
           row "merges" [ string_of_int s.Metrics.merges ];
-          Printf.sprintf
-            "{\n\
-            \  \"figure\": \"ingest\",\n\
-            \  \"quick\": %b,\n\
-            \  \"merge_interval_ms\": %.0f,\n\
-            \  \"ingest\": { \"docs\": %d, \"bytes\": %d, \"wall_ms\": %.1f, \"docs_per_s\": %.1f },\n\
-            \  \"mixed\": {\n\
-            \    \"queries\": %d,\n\
-            \    \"query_p50_ms\": %.3f,\n\
-            \    \"query_p99_ms\": %.3f,\n\
-            \    \"staleness_p50_ms\": %.1f,\n\
-            \    \"staleness_p95_ms\": %.1f,\n\
-            \    \"staleness_max_ms\": %.1f,\n\
-            \    \"ingests\": %d,\n\
-            \    \"merges\": %d\n\
-            \  }\n\
-             }\n"
-            quick merge_interval_ms n_docs !bytes ingest_wall_ms docs_per_s (Array.length lat)
-            q_p50 q_p99 st_p50 st_p95 st_max s.Metrics.ingests s.Metrics.merges)
+          [
+            ("quick", Json.Bool quick);
+            ("merge_interval_ms", Json.Num merge_interval_ms);
+            ( "ingest",
+              Json.Obj
+                [
+                  ("docs", int_num n_docs);
+                  ("bytes", int_num !bytes);
+                  ("wall_ms", Json.Num ingest_wall_ms);
+                  ("docs_per_s", Json.Num docs_per_s);
+                ] );
+            ( "mixed",
+              Json.Obj
+                [
+                  ("queries", int_num (Array.length lat));
+                  ("query_p50_ms", Json.Num q_p50);
+                  ("query_p99_ms", Json.Num q_p99);
+                  ("staleness_p50_ms", Json.Num st_p50);
+                  ("staleness_p95_ms", Json.Num st_p95);
+                  ("staleness_max_ms", Json.Num st_max);
+                  ("ingests", int_num s.Metrics.ingests);
+                  ("merges", int_num s.Metrics.merges);
+                ] );
+          ])
     in
-    let oc = open_out "BENCH_ingest.json" in
-    output_string oc result;
-    close_out oc;
-    Printf.printf "  [artifact] BENCH_ingest.json written\n%!"
+    write_artifact "ingest" result
 
 (* Sharded corpus (DESIGN.md §4i): scatter-gather query latency as the
    same document set spreads over 1, 4 and 16 shards, and the tail cost
@@ -962,11 +698,6 @@ let abl_shard ~quick () =
         "//section[./title]";
       ]
   in
-  let percentile sorted p =
-    if Array.length sorted = 0 then 0.0
-    else
-      sorted.(min (Array.length sorted - 1) (int_of_float (p /. 100.0 *. float_of_int (Array.length sorted))))
-  in
   (* One guard governs both passes: run [n_queries] over the mix,
      arming the shard-loss failpoint before every query when
      [degrade].  Returns (p50, p99, partials). *)
@@ -990,7 +721,7 @@ let abl_shard ~quick () =
     done;
     Flexpath.Failpoint.reset ();
     let sorted = List.sort Float.compare !lat |> Array.of_list in
-    (percentile sorted 50.0, percentile sorted 99.0, !partials)
+    (Loadgen.percentile sorted 50.0, Loadgen.percentile sorted 99.0, !partials)
   in
   header "Ablation: sharded corpus"
     (Printf.sprintf
@@ -1027,33 +758,30 @@ let abl_shard ~quick () =
                   ms d_p99;
                   Printf.sprintf "%d+%d" h_partials d_partials;
                 ];
-              Printf.sprintf
-                "    { \"shards\": %d, \"healthy\": { \"p50_ms\": %.3f, \"p99_ms\": %.3f, \
-                 \"partials\": %d },\n\
-                \      \"degraded\": { \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"partials\": %d } }"
-                shards h_p50 h_p99 h_partials d_p50 d_p99 d_partials))
+              let pass p50 p99 partials =
+                Json.Obj
+                  [ ("p50_ms", Json.Num p50); ("p99_ms", Json.Num p99); ("partials", int_num partials) ]
+              in
+              Json.Obj
+                [
+                  ("shards", int_num shards);
+                  ("healthy", pass h_p50 h_p99 h_partials);
+                  ("degraded", pass d_p50 d_p99 d_partials);
+                ]))
       [ 1; 4; 16 ]
   in
   (try
      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
      Unix.rmdir dir
    with Sys_error _ | Unix.Unix_error _ -> ());
-  let result =
-    Printf.sprintf
-      "{\n\
-      \  \"figure\": \"shard\",\n\
-      \  \"quick\": %b,\n\
-      \  \"docs\": %d,\n\
-      \  \"queries_per_pass\": %d,\n\
-      \  \"k\": 10,\n\
-      \  \"series\": [\n%s\n  ]\n}\n"
-      quick n_docs n_queries
-      (String.concat ",\n" cells)
-  in
-  let oc = open_out "BENCH_shard.json" in
-  output_string oc result;
-  close_out oc;
-  Printf.printf "  [artifact] BENCH_shard.json written\n%!"
+  write_artifact "shard"
+    [
+      ("quick", Json.Bool quick);
+      ("docs", int_num n_docs);
+      ("queries_per_pass", int_num n_queries);
+      ("k", int_num 10);
+      ("series", Json.List cells);
+    ]
 
 (* Replication (DESIGN.md §4l): what redundancy costs and what it buys.
    Query latency healthy vs losing one replica per query (failover keeps
@@ -1091,13 +819,6 @@ let abl_replica ~quick () =
         "//article[./section[./algorithm and ./paragraph[.contains(\"xml\" and \"streaming\")]]]";
         "//section[./title]";
       ]
-  in
-  let percentile sorted p =
-    if Array.length sorted = 0 then 0.0
-    else
-      sorted.(min
-                (Array.length sorted - 1)
-                (int_of_float (p /. 100.0 *. float_of_int (Array.length sorted))))
   in
   let open_replicated ?ack_mode name =
     let prefix = Filename.concat dir name in
@@ -1167,7 +888,7 @@ let abl_replica ~quick () =
           done;
           Failpoint.reset ();
           let sorted = List.sort Float.compare !lat |> Array.of_list in
-          (percentile sorted 50.0, percentile sorted 99.0, !partials, !failovers)
+          (Loadgen.percentile sorted 50.0, Loadgen.percentile sorted 99.0, !partials, !failovers)
         in
         let healthy = measure ~degrade:false in
         let lost = measure ~degrade:true in
@@ -1230,32 +951,28 @@ let abl_replica ~quick () =
       string_of_int behind;
       ms catchup_ms;
     ];
-  let result =
-    Printf.sprintf
-      "{\n\
-      \  \"schema_version\": 1,\n\
-      \  \"bench\": \"replica\",\n\
-      \  \"quick\": %b,\n\
-      \  \"docs\": %d,\n\
-      \  \"queries_per_pass\": %d,\n\
-      \  \"shards\": 2,\n\
-      \  \"replicas\": 2,\n\
-      \  \"query\": {\n\
-      \    \"healthy\": { \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"partials\": %d, \"failovers\": \
-       %d },\n\
-      \    \"replica_lost\": { \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"partials\": %d, \
-       \"failovers\": %d }\n\
-      \  },\n\
-      \  \"ingest\": { \"sync_docs_per_s\": %.1f, \"async_docs_per_s\": %.1f },\n\
-      \  \"catchup\": { \"records_behind\": %d, \"ms\": %.3f }\n\
-       }\n"
-      quick n_docs n_queries h_p50 h_p99 h_partials h_failovers l_p50 l_p99 l_partials l_failovers
-      sync_rate async_rate behind catchup_ms
+  let pass (p50, p99, partials, failovers) =
+    Json.Obj
+      [
+        ("p50_ms", Json.Num p50);
+        ("p99_ms", Json.Num p99);
+        ("partials", int_num partials);
+        ("failovers", int_num failovers);
+      ]
   in
-  let oc = open_out "BENCH_replica.json" in
-  output_string oc result;
-  close_out oc;
-  Printf.printf "  [artifact] BENCH_replica.json written\n%!"
+  write_artifact "replica"
+    [
+      ("quick", Json.Bool quick);
+      ("docs", int_num n_docs);
+      ("queries_per_pass", int_num n_queries);
+      ("shards", int_num 2);
+      ("replicas", int_num 2);
+      ("query", Json.Obj [ ("healthy", pass q_healthy); ("replica_lost", pass q_lost) ]);
+      ( "ingest",
+        Json.Obj [ ("sync_docs_per_s", Json.Num sync_rate); ("async_docs_per_s", Json.Num async_rate) ]
+      );
+      ("catchup", Json.Obj [ ("records_behind", int_num behind); ("ms", Json.Num catchup_ms) ]);
+    ]
 
 (* Holistic twig join (DESIGN.md §4k): the TwigStack-style physical
    operator against the binary structural-join pipeline, on identical
@@ -1293,12 +1010,17 @@ let abl_twig ~quick () =
         Printf.sprintf "%.2fx" speedup;
         string_of_int m.Joins.Exec.stream_elements;
       ];
-    Printf.sprintf
-      "    { \"query\": %S, \"binary_ms\": %.3f, \"holistic_ms\": %.3f, \"speedup\": %.3f,\n\
-      \      \"holistic_runs\": %d, \"fast_path\": %b, \"stream_elements\": %d, \"answers\": %d }"
-      name tb th speedup m.Joins.Exec.holistic_runs
-      (m.Joins.Exec.holistic_fast_paths > 0)
-      m.Joins.Exec.stream_elements (List.length answers)
+    Json.Obj
+      [
+        ("query", Json.Str name);
+        ("binary_ms", Json.Num tb);
+        ("holistic_ms", Json.Num th);
+        ("speedup", Json.Num speedup);
+        ("holistic_runs", int_num m.Joins.Exec.holistic_runs);
+        ("fast_path", Json.Bool (m.Joins.Exec.holistic_fast_paths > 0));
+        ("stream_elements", int_num m.Joins.Exec.stream_elements);
+        ("answers", int_num (List.length answers));
+      ]
   in
   let cells = ref [] in
   let emit name q enc = cells := bench_row name q enc :: !cells in
@@ -1322,21 +1044,8 @@ let abl_twig ~quick () =
   (match List.find_opt (fun e -> not (Joins.Twig.applicable e)) encs with
   | None -> ()
   | Some enc -> emit "Q3-fallback" q3 enc);
-  let result =
-    Printf.sprintf
-      "{\n\
-      \  \"schema_version\": 1,\n\
-      \  \"bench\": \"twig\",\n\
-      \  \"quick\": %b,\n\
-      \  \"mb\": %g,\n\
-      \  \"series\": [\n%s\n  ]\n}\n"
-      quick mb
-      (String.concat ",\n" (List.rev !cells))
-  in
-  let oc = open_out "BENCH_twig.json" in
-  output_string oc result;
-  close_out oc;
-  Printf.printf "  [artifact] BENCH_twig.json written\n%!"
+  write_artifact "twig"
+    [ ("quick", Json.Bool quick); ("mb", Json.Num mb); ("series", Json.List (List.rev !cells)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the substrates. *)
@@ -1403,8 +1112,6 @@ let all_figures =
     ("abl_governance", abl_governance);
     ("abl_snapshot", abl_snapshot);
     ("abl_approxml", abl_approxml);
-    ("abl_serve", abl_serve);
-    ("abl_cache", abl_cache);
     ("abl_supervision", abl_supervision);
     ("abl_ingest", abl_ingest);
     ("abl_shard", abl_shard);

@@ -150,8 +150,7 @@ let conv_of_parser name parse to_string =
 let algo_conv =
   conv_of_parser "ALGO" Flexpath.algorithm_of_string Flexpath.algorithm_to_string
 
-(* Shared by query and serve: the in-process plan/answer cache
-   (DESIGN.md §4f). *)
+(* serve's in-process plan/answer cache (DESIGN.md §4f). *)
 let cache_mb_arg =
   Arg.(
     value & opt int 64
@@ -226,7 +225,7 @@ let query_cmd =
              DPO's per-step evaluation.")
   in
   let run file xmark articles query k algo scheme verbose text hierarchy_file thesaurus_file
-      weights_spec env_file timeout_ms tuple_budget step_budget restart_cap cache_mb no_cache =
+      weights_spec env_file timeout_ms tuple_budget step_budget restart_cap =
     let ( let* ) r f =
       match r with
       | Error e ->
@@ -276,12 +275,7 @@ let query_cmd =
         | deadline_ms, tuple_budget, step_budget, restart_cap ->
           Some { Flexpath.Guard.deadline_ms; tuple_budget; step_budget; restart_cap }
       in
-      let cache =
-        Option.map
-          (fun mb -> Flexpath.Qcache.create ~max_bytes:(mb * 1024 * 1024) ())
-          (cache_of ~cache_mb ~no_cache)
-      in
-      match Flexpath.run ~algorithm:algo ~scheme ?budget ?cache env ~k q with
+      match Flexpath.run ~algorithm:algo ~scheme ?budget env ~k q with
       | Error e ->
         Printf.eprintf "error: %s\n" (Error.to_string e);
         Error.exit_code e
@@ -322,8 +316,7 @@ let query_cmd =
     Term.(
       const run $ file_arg $ xmark_arg $ articles_arg $ query_arg $ k_arg $ algo_arg $ scheme_arg
       $ verbose_arg $ text_arg $ hierarchy_arg $ thesaurus_arg $ weights_arg $ env_arg
-      $ timeout_arg $ tuple_budget_arg $ step_budget_arg $ restart_cap_arg $ cache_mb_arg
-      $ no_cache_arg)
+      $ timeout_arg $ tuple_budget_arg $ step_budget_arg $ restart_cap_arg)
   in
   Cmd.v (Cmd.info "query" ~doc:"Run a top-K query with structural relaxation.") term
 
@@ -1214,14 +1207,8 @@ let bench_serve_cmd =
                   ("queue_depth", Ljson.Num (float_of_int queue_depth));
                 ]
               in
-              let body = Ljson.to_string (Loadgen.report ~config ~results) ^ "\n" in
-              (match out with
-              | "-" -> print_string body
-              | path ->
-                let oc = open_out path in
-                output_string oc body;
-                close_out oc;
-                Printf.eprintf "bench serve: wrote %s\n%!" path);
+              Loadgen.write_artifact out (Loadgen.report ~config ~results);
+              if out <> "-" then Printf.eprintf "bench serve: wrote %s\n%!" out;
               0)
       end)
   in
@@ -1259,30 +1246,16 @@ let bench_check_cmd =
       | Error msg ->
         Printf.eprintf "error: %s: %s\n" path msg;
         exit_usage
-      | Ok () ->
-        let json = Result.get_ok (Ljson.parse text) in
-        let count key =
-          List.length (Ljson.to_list (Option.value ~default:Ljson.Null (Ljson.member key json)))
-        in
-        (* The summary names what the schema gate checked for this
-           artifact's bench tag (the same dispatch as the gate). *)
-        (match Ljson.member "bench" json with
-        | Some (Ljson.Str "twig") ->
-          Printf.printf "%s: ok (%d series entries)\n" path (count "series")
-        | Some (Ljson.Str "replica") ->
-          Printf.printf "%s: ok (replica: healthy and replica-lost passes, 0 lost-pass partials)\n"
-            path
-        | Some _ | None -> Printf.printf "%s: ok (%d scales)\n" path (count "scales"));
+      | Ok summary ->
+        Printf.printf "%s: ok (%s)\n" path summary;
         0)
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Validate a bench artifact's schema.  Serve artifacts need a version, non-empty scales, \
-          goodput and p50/p99/p999 on every scale; twig ablation artifacts (bench = \"twig\") a \
-          non-empty series with per-query binary/holistic timings; replication artifacts (bench \
-          = \"replica\") healthy/replica-lost percentiles with zero lost-pass partials, sync and \
-          async ingest rates, and a catch-up measurement.  Exit 0 when well-formed; CI gates on \
+         "Validate a bench artifact against the schema its bench tag names (serve, twig, \
+          replica, shard or ingest; DESIGN.md §4j) and print a one-line summary.  A missing or \
+          unknown tag is an error.  Exit 0 when well-formed; CI gates every BENCH_*.json on \
           this.")
     Term.(const run $ file_arg)
 

@@ -31,16 +31,9 @@ type strategy = {
 let exact_strategy =
   { sort_on_score = false; bucketize = false; prune_k = None; prune_slack = 0.0 }
 
-type executor = Auto | Binary | Holistic
+type executor = Auto | Binary
 
-let executor_to_string = function Auto -> "auto" | Binary -> "binary" | Holistic -> "holistic"
-
-let executor_of_string s =
-  match String.lowercase_ascii s with
-  | "auto" -> Ok Auto
-  | "binary" -> Ok Binary
-  | "holistic" -> Ok Holistic
-  | other -> Error (Printf.sprintf "unknown executor %S (expected auto, binary or holistic)" other)
+let executor_to_string = function Auto -> "auto" | Binary -> "binary"
 
 type metrics = {
   mutable tuples_produced : int;
@@ -325,13 +318,10 @@ let run ?(metrics = fresh_metrics ()) ?cancel ?(executor = Auto) env enc strateg
           if !unpolled >= poll_interval then consult f),
         fun () -> if !unpolled > 0 then consult f )
   in
-  (* Planner rule: the holistic operator handles conjunctive (twig-
-     shaped, no optional spec) patterns; anything else falls back to
-     the binary pipeline, including under [Holistic] — forcing the
-     executor must not change what a plan means. *)
-  let use_holistic =
-    (match executor with Binary -> false | Auto | Holistic -> true) && Twig.applicable enc
-  in
+  (* Planner rule under [Auto]: the holistic operator handles
+     conjunctive (twig-shaped, no optional spec) patterns; anything
+     else runs on the binary pipeline. *)
+  let use_holistic = executor = Auto && Twig.applicable enc in
   let streams =
     if not use_holistic then None
     else begin

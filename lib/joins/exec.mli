@@ -75,19 +75,16 @@ val exact_strategy : strategy
 (** No sorting, no buckets, no pruning — plain evaluation (DPO uses
     this per relaxation). *)
 
-type executor = Auto | Binary | Holistic
+type executor = Auto | Binary
 (** Physical operator selection.  [Auto] is the planner rule: the
     holistic twig operator ({!Twig}) when the encoded pattern is
     conjunctive (twig-shaped, no optional spec), the binary pipeline
-    otherwise.  [Binary] forces the pipeline; [Holistic] requests the
-    twig operator but still falls back to the pipeline on
-    non-conjunctive plans — forcing an executor never changes what a
-    plan means.  Results are byte-identical across executors (same
-    answers, scores, and tie-breaks); only metrics and — under tuple
-    budgets or deadlines — truncation points differ. *)
+    otherwise.  [Binary] forces the pipeline.  Results are
+    byte-identical across executors (same answers, scores, and
+    tie-breaks); only metrics and — under tuple budgets or deadlines —
+    truncation points differ. *)
 
 val executor_to_string : executor -> string
-val executor_of_string : string -> (executor, string) result
 
 type metrics = {
   mutable tuples_produced : int;

@@ -258,4 +258,3 @@ let to_int = function
   | _ -> None
 
 let to_list = function List items -> items | _ -> []
-let string_value = function Str s -> Some s | _ -> None

@@ -1,5 +1,5 @@
 (** A minimal JSON tree, emitter and parser — just enough for the
-    bench artifacts ([BENCH_serve.json]) to be written, re-read and
+    bench artifacts ([BENCH_*.json]) to be written, re-read and
     schema-checked without an external dependency.
 
     Numbers are floats (JSON's own model); integral values are
@@ -30,4 +30,3 @@ val member : string -> t -> t option
 val to_float : t -> float option
 val to_int : t -> int option
 val to_list : t -> t list
-val string_value : t -> string option

@@ -554,7 +554,18 @@ let run ~host ~port ~connections w =
   end
 
 (* ------------------------------------------------------------------ *)
-(* The artifact *)
+(* Artifacts: one envelope, one writer, one gate *)
+
+let schema_version = 1
+
+let artifact ~bench body =
+  Json.Obj
+    (("schema_version", Json.Num (float_of_int schema_version)) :: ("bench", Json.Str bench) :: body)
+
+let write_artifact path json =
+  let body = Json.to_string json ^ "\n" in
+  if path = "-" then print_string body
+  else Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc body)
 
 let result_to_json r =
   Json.Obj
@@ -607,117 +618,159 @@ let report ~config ~results =
             ] );
       ]
   in
-  Json.Obj
+  artifact ~bench:"serve"
     ([
-       ("schema_version", Json.Num 1.0);
-       ("bench", Json.Str "serve");
        ("created_unix_s", Json.Num (Float.of_int (int_of_float (Unix.time ()))));
        ("config", Json.Obj config);
        ("scales", Json.List (List.map result_to_json results));
      ]
     @ summary)
 
-(* The twig ablation's artifact ([BENCH_twig.json], bench "twig"):
-   non-empty [series], and per entry a query label plus numeric
-   binary/holistic timings and the speedup ratio. *)
-let check_twig_report json =
-  let ( let* ) = Result.bind in
-  let require what = function Some v -> Ok v | None -> Error ("missing or mistyped " ^ what) in
-  let* series = require "series array" (Json.member "series" json) in
-  let entries = Json.to_list series in
-  let* () = if entries <> [] then Ok () else Error "series must be non-empty" in
-  let check_entry i entry =
-    let at what = Printf.sprintf "series[%d].%s" i what in
-    let* _ =
-      require (at "query")
-        (match Json.member "query" entry with Some (Json.Str s) -> Some s | _ -> None)
-    in
-    let num what = require (at what) (Option.bind (Json.member what entry) Json.to_float) in
-    let* _ = num "binary_ms" in
-    let* _ = num "holistic_ms" in
-    let* _ = num "speedup" in
-    Ok ()
-  in
-  let rec all i = function
-    | [] -> Ok ()
-    | entry :: rest ->
-      let* () = check_entry i entry in
-      all (i + 1) rest
-  in
-  all 0 entries
+(* Schema checks.  Each returns the summary [flexpath bench check]
+   prints after "ok"; errors name the offending path. *)
 
-(* The replication ablation's artifact ([BENCH_replica.json], bench
-   "replica"): healthy and replica-lost latency percentiles with their
-   partial/failover counts, sync/async ingest rates, and the follower
-   catch-up measurement.  The failover claim is part of the schema:
-   losing one replica per query must report zero partials. *)
-let check_replica_report json =
-  let ( let* ) = Result.bind in
-  let require what = function Some v -> Ok v | None -> Error ("missing or mistyped " ^ what) in
-  let num obj what path = require path (Option.bind (Json.member what obj) Json.to_float) in
-  let* query = require "query object" (Json.member "query" json) in
-  let pass name =
-    let* p = require ("query." ^ name) (Json.member name query) in
-    let* _ = num p "p50_ms" (Printf.sprintf "query.%s.p50_ms" name) in
-    let* _ = num p "p99_ms" (Printf.sprintf "query.%s.p99_ms" name) in
-    let* partials =
-      require
-        (Printf.sprintf "query.%s.partials" name)
-        (Option.bind (Json.member "partials" p) Json.to_int)
-    in
-    Ok partials
+let ( let* ) = Result.bind
+let require what = function Some v -> Ok v | None -> Error ("missing or mistyped " ^ what)
+let num obj key what = require what (Option.bind (Json.member key obj) Json.to_float)
+let int obj key what = require what (Option.bind (Json.member key obj) Json.to_int)
+
+let nums obj prefix keys =
+  List.fold_left
+    (fun acc key ->
+      let* () = acc in
+      let* _ = num obj key (prefix ^ key) in
+      Ok ())
+    (Ok ()) keys
+
+(* The non-empty array under [key], every entry passing [check] (which
+   gets the entry's path prefix); [Ok] carries the entry count. *)
+let entries key json check =
+  let* arr = require (key ^ " array") (Json.member key json) in
+  let rec go i = function
+    | [] -> Ok i
+    | entry :: rest ->
+      let* () = check (fun what -> Printf.sprintf "%s[%d].%s" key i what) entry in
+      go (i + 1) rest
   in
-  let* _ = pass "healthy" in
-  let* lost_partials = pass "replica_lost" in
+  match Json.to_list arr with [] -> Error (key ^ " must be non-empty") | l -> go 0 l
+
+(* A measured query pass: p50/p99 latency plus its PARTIAL count. *)
+let pass_partials obj name at =
+  let* p = require (at name) (Json.member name obj) in
+  let* () = nums p (at name ^ ".") [ "p50_ms"; "p99_ms" ] in
+  int p "partials" (at (name ^ ".partials"))
+
+(* [bench serve]'s load trajectory ([BENCH_serve.json]). *)
+let check_serve json =
+  let* n =
+    entries "scales" json (fun at entry ->
+        let* conns = int entry "connections" (at "connections") in
+        let* () = if conns > 0 then Ok () else Error (at "connections must be positive") in
+        let* _ = num entry "goodput_rps" (at "goodput_rps") in
+        let* lat = require (at "latency_ms") (Json.member "latency_ms" entry) in
+        nums lat (at "latency_ms.") [ "p50"; "p99"; "p999" ])
+  in
+  Ok (Printf.sprintf "%d scales" n)
+
+(* The twig ablation ([BENCH_twig.json]): per query label, the binary
+   and holistic timings and the speedup ratio. *)
+let check_twig json =
+  let* n =
+    entries "series" json (fun at entry ->
+        let* _ =
+          require (at "query")
+            (match Json.member "query" entry with Some (Json.Str s) -> Some s | _ -> None)
+        in
+        nums entry (at "") [ "binary_ms"; "holistic_ms"; "speedup" ])
+  in
+  Ok (Printf.sprintf "%d series entries" n)
+
+(* The replication ablation ([BENCH_replica.json]): healthy and
+   replica-lost passes, sync/async ingest rates and the follower
+   catch-up.  The failover claim is part of the schema: losing one
+   replica per query must report zero partials. *)
+let check_replica json =
+  let* query = require "query object" (Json.member "query" json) in
+  let at name = "query." ^ name in
+  let* _ = pass_partials query "healthy" at in
+  let* lost_partials = pass_partials query "replica_lost" at in
   let* () =
     if lost_partials = 0 then Ok ()
     else Error "query.replica_lost.partials must be 0 (failover must absorb the loss)"
   in
   let* ingest = require "ingest object" (Json.member "ingest" json) in
-  let* _ = num ingest "sync_docs_per_s" "ingest.sync_docs_per_s" in
-  let* _ = num ingest "async_docs_per_s" "ingest.async_docs_per_s" in
+  let* () = nums ingest "ingest." [ "sync_docs_per_s"; "async_docs_per_s" ] in
   let* catchup = require "catchup object" (Json.member "catchup" json) in
   let* _ = num catchup "ms" "catchup.ms" in
-  let* _ =
-    require "catchup.records_behind"
-      (Option.bind (Json.member "records_behind" catchup) Json.to_int)
-  in
-  Ok ()
+  let* _ = int catchup "records_behind" "catchup.records_behind" in
+  Ok "replica: healthy and replica-lost passes, 0 lost-pass partials"
 
-let check_serve_report json =
-  let ( let* ) = Result.bind in
-  let require what = function Some v -> Ok v | None -> Error ("missing or mistyped " ^ what) in
-  let* scales = require "scales array" (Json.member "scales" json) in
-  let entries = Json.to_list scales in
-  let* () = if entries <> [] then Ok () else Error "scales must be non-empty" in
-  let check_scale i entry =
-    let at what = Printf.sprintf "scales[%d].%s" i what in
-    let* conns = require (at "connections") (Option.bind (Json.member "connections" entry) Json.to_int) in
-    let* () = if conns > 0 then Ok () else Error (at "connections must be positive") in
-    let* _ = require (at "goodput_rps") (Option.bind (Json.member "goodput_rps" entry) Json.to_float) in
-    let* lat = require (at "latency_ms") (Json.member "latency_ms" entry) in
-    let* _ = require (at "latency_ms.p50") (Option.bind (Json.member "p50" lat) Json.to_float) in
-    let* _ = require (at "latency_ms.p99") (Option.bind (Json.member "p99" lat) Json.to_float) in
-    let* _ = require (at "latency_ms.p999") (Option.bind (Json.member "p999" lat) Json.to_float) in
-    Ok ()
+(* The sharding ablation ([BENCH_shard.json]): healthy and degraded
+   passes per shard count.  The degraded pass loses one shard on every
+   query and a lost shard always answers PARTIAL, so the schema pins
+   both counts: none healthy, one per query degraded. *)
+let check_shard json =
+  let* per_pass = int json "queries_per_pass" "queries_per_pass" in
+  let* n =
+    entries "series" json (fun at entry ->
+        let* _ = int entry "shards" (at "shards") in
+        let* healthy = pass_partials entry "healthy" at in
+        let* degraded = pass_partials entry "degraded" at in
+        if healthy <> 0 then Error (at "healthy.partials must be 0")
+        else if degraded <> per_pass then
+          Error
+            (Printf.sprintf "%s must equal queries_per_pass (%d), got %d" (at "degraded.partials")
+               per_pass degraded)
+        else Ok ())
   in
-  let rec all i = function
-    | [] -> Ok ()
-    | entry :: rest ->
-      let* () = check_scale i entry in
-      all (i + 1) rest
-  in
-  all 0 entries
+  Ok
+    (Printf.sprintf "shard: %d series entries, degraded passes PARTIAL on %d/%d queries" n per_pass
+       per_pass)
 
-(* The public gate dispatches on the artifact's [bench] tag: the twig
-   and replica ablations have their own shapes; everything else
-   (including untagged legacy artifacts) is held to the serve schema. *)
+(* The live-ingestion ablation ([BENCH_ingest.json]): ingest
+   throughput, then query latency and staleness under background
+   merges.  A run that ingested nothing, answered no query or never
+   merged measured nothing. *)
+let check_ingest json =
+  let* _ = num json "merge_interval_ms" "merge_interval_ms" in
+  let* ingest = require "ingest object" (Json.member "ingest" json) in
+  let* docs = int ingest "docs" "ingest.docs" in
+  let* () = nums ingest "ingest." [ "bytes"; "wall_ms"; "docs_per_s" ] in
+  let* mixed = require "mixed object" (Json.member "mixed" json) in
+  let* queries = int mixed "queries" "mixed.queries" in
+  let* () =
+    nums mixed "mixed."
+      [
+        "query_p50_ms";
+        "query_p99_ms";
+        "staleness_p50_ms";
+        "staleness_p95_ms";
+        "staleness_max_ms";
+        "ingests";
+      ]
+  in
+  let* merges = int mixed "merges" "mixed.merges" in
+  if docs <= 0 then Error "ingest.docs must be positive"
+  else if queries <= 0 then Error "mixed.queries must be positive"
+  else if merges < 1 then Error "mixed.merges must be >= 1"
+  else Ok (Printf.sprintf "ingest: %d docs, %d mixed queries, %d merges" docs queries merges)
+
+let schemas =
+  [
+    ("serve", check_serve);
+    ("twig", check_twig);
+    ("replica", check_replica);
+    ("shard", check_shard);
+    ("ingest", check_ingest);
+  ]
+
 let check_report json =
-  let ( let* ) = Result.bind in
-  let require what = function Some v -> Ok v | None -> Error ("missing or mistyped " ^ what) in
-  let* version = require "schema_version" (Option.bind (Json.member "schema_version" json) Json.to_int) in
+  let* version = int json "schema_version" "schema_version" in
   let* () = if version >= 1 then Ok () else Error "schema_version must be >= 1" in
+  let known = String.concat ", " (List.map fst schemas) in
   match Json.member "bench" json with
-  | Some (Json.Str "twig") -> check_twig_report json
-  | Some (Json.Str "replica") -> check_replica_report json
-  | Some _ | None -> check_serve_report json
+  | Some (Json.Str tag) -> (
+    match List.assoc_opt tag schemas with
+    | Some check -> check json
+    | None -> Error (Printf.sprintf "unknown bench tag %S (known: %s)" tag known))
+  | Some _ | None -> Error (Printf.sprintf "missing or mistyped bench tag (known: %s)" known)

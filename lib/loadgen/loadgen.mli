@@ -79,27 +79,53 @@ val run :
     failures (connect refused, fd budget); server-side misbehavior is
     data, reported in the counters. *)
 
-(** {2 The [BENCH_serve.json] artifact} *)
+val percentile : float array -> float -> float
+(** [percentile sorted p] is the nearest-rank [p]th percentile (0 < [p]
+    <= 100) of an ascending array: the smallest sample with at least
+    [p]% of the samples at or below it.  [0.0] when empty. *)
 
-val result_to_json : result -> Json.t
+(** {2 Bench artifacts}
+
+    Every [BENCH_*.json] file is a {!Json.t} under one envelope,
+    written by {!write_artifact} and gated by {!check_report}. *)
+
+val artifact : bench:string -> (string * Json.t) list -> Json.t
+(** [artifact ~bench body] is [body] behind the envelope: a
+    [schema_version] and the [bench] tag {!check_report} dispatches
+    on. *)
+
+val write_artifact : string -> Json.t -> unit
+(** Render pretty-printed with a trailing newline to a file; ["-"] is
+    stdout.  Raises [Sys_error] when the file cannot be written. *)
 
 val report : config:(string * Json.t) list -> results:result list -> Json.t
-(** The full artifact: [schema_version], [bench], [created_unix_s],
-    the [config] fields verbatim, one [scales] entry per result, and
-    a [summary] comparing the largest scale's p99 against the
-    smallest's (the depth-8 baseline ratio the roadmap tracks). *)
+(** The [bench serve] artifact ([BENCH_serve.json], bench ["serve"]):
+    [created_unix_s], the [config] fields verbatim, one [scales] entry
+    per result, and a [summary] comparing the largest scale's p99
+    against the smallest's (the depth-8 baseline ratio the roadmap
+    tracks). *)
 
-val check_report : Json.t -> (unit, string) Stdlib.result
-(** The schema gate [flexpath bench check] and CI enforce.  Dispatches
-    on the artifact's ["bench"] tag: a serve artifact (or any untagged
-    one) needs a positive [schema_version], non-empty [scales], and for
-    every scale a positive [connections], numeric [goodput_rps] and a
-    [latency_ms] object with numeric [p50]/[p99]/[p999]; a ["twig"]
-    artifact ([BENCH_twig.json], the holistic-vs-binary ablation) needs
-    a non-empty [series] whose entries carry a [query] label and
-    numeric [binary_ms]/[holistic_ms]/[speedup]; a ["replica"] artifact
-    ([BENCH_replica.json], the §4l replication ablation) needs
-    [query.healthy]/[query.replica_lost] latency percentiles — with
-    [replica_lost.partials] exactly 0, the failover guarantee encoded
-    as schema — numeric [ingest.sync_docs_per_s]/[async_docs_per_s],
-    and a [catchup] object with [records_behind] and [ms]. *)
+val check_report : Json.t -> (string, string) Stdlib.result
+(** The schema gate [flexpath bench check] and CI enforce.  Every
+    artifact needs a positive [schema_version] and a known [bench]
+    tag; a missing or unknown tag is an error naming the known ones.
+    [Ok] carries the summary the CLI prints after "ok".  Per tag:
+    - ["serve"]: non-empty [scales], each with a positive
+      [connections], numeric [goodput_rps] and [latency_ms] with
+      numeric [p50]/[p99]/[p999];
+    - ["twig"] ([BENCH_twig.json], holistic vs binary): a non-empty
+      [series] whose entries carry a [query] label and numeric
+      [binary_ms]/[holistic_ms]/[speedup];
+    - ["replica"] ([BENCH_replica.json], DESIGN.md §4l):
+      [query.healthy]/[query.replica_lost] p50/p99 with
+      [replica_lost.partials] exactly 0 (failover absorbs the loss),
+      numeric [ingest.sync_docs_per_s]/[async_docs_per_s], and a
+      [catchup] object with [records_behind] and [ms];
+    - ["shard"] ([BENCH_shard.json], DESIGN.md §4i): an integer
+      [queries_per_pass] and a non-empty [series] of shard counts,
+      each with [healthy]/[degraded] p50/p99 and partials — healthy
+      0, degraded exactly [queries_per_pass], since a lost shard
+      always answers PARTIAL;
+    - ["ingest"] ([BENCH_ingest.json], DESIGN.md §4h): numeric
+      [merge_interval_ms], [ingest.*] and [mixed.*] fields with
+      [ingest.docs] > 0, [mixed.queries] > 0 and [mixed.merges] >= 1. *)

@@ -6,7 +6,10 @@
    - the emitted BENCH_serve.json round-trips through the JSON
      emitter/parser and passes the schema gate [bench check] enforces;
    - the gate actually rejects: a missing percentile key, an empty
-     scales array and malformed JSON all fail with a pointed error;
+     scales array, malformed JSON, a missing or unknown bench tag, and
+     each ablation artifact that breaks its claim fail with a pointed
+     error;
+   - every checked-in BENCH_*.json passes the gate;
    - the JSON module itself round-trips escapes and numbers. *)
 
 module Loadgen = Flexpath_loadgen.Loadgen
@@ -78,7 +81,7 @@ let test_run_and_artifact () =
         | Error msg -> Alcotest.failf "emitted artifact does not parse: %s" msg
       in
       (match Loadgen.check_report parsed with
-      | Ok () -> ()
+      | Ok _ -> ()
       | Error msg -> Alcotest.failf "emitted artifact fails its own gate: %s" msg);
       (* Required keys, spelled out. *)
       let scales = Json.to_list (Option.get (Json.member "scales" parsed)) in
@@ -103,6 +106,7 @@ let minimal_valid =
   Json.Obj
     [
       ("schema_version", Json.Num 1.0);
+      ("bench", Json.Str "serve");
       ( "scales",
         Json.List
           [
@@ -119,7 +123,7 @@ let minimal_valid =
 
 let expect_reject what json affix =
   match Loadgen.check_report json with
-  | Ok () -> Alcotest.failf "%s was accepted" what
+  | Ok _ -> Alcotest.failf "%s was accepted" what
   | Error msg ->
     check_bool
       (Printf.sprintf "%s error mentions %s (got %S)" what affix msg)
@@ -130,9 +134,11 @@ let expect_reject what json affix =
 
 let test_schema_gate () =
   (match Loadgen.check_report minimal_valid with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error msg -> Alcotest.failf "minimal valid artifact rejected: %s" msg);
-  expect_reject "empty scales" (Json.Obj [ ("schema_version", Json.Num 1.0); ("scales", Json.List []) ])
+  expect_reject "empty scales"
+    (Json.Obj
+       [ ("schema_version", Json.Num 1.0); ("bench", Json.Str "serve"); ("scales", Json.List []) ])
     "non-empty";
   expect_reject "missing schema_version" (Json.Obj [ ("scales", Json.List [ Json.Obj [] ]) ])
     "schema_version";
@@ -140,6 +146,7 @@ let test_schema_gate () =
      Json.Obj
        [
          ("schema_version", Json.Num 1.0);
+         ("bench", Json.Str "serve");
          ( "scales",
            Json.List
              [
@@ -176,7 +183,7 @@ let twig_artifact entries =
 
 let test_schema_gate_twig () =
   (match Loadgen.check_report (twig_artifact [ twig_entry "Q1"; twig_entry "Q2" ]) with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error msg -> Alcotest.failf "valid twig artifact rejected: %s" msg);
   expect_reject "empty series" (twig_artifact []) "non-empty";
   expect_reject "missing speedup" (twig_artifact [ twig_entry ~drop:"speedup" "Q1" ]) "speedup";
@@ -213,13 +220,122 @@ let replica_artifact ?(drop = "") ?(lost_partials = 0.0) () =
 
 let test_schema_gate_replica () =
   (match Loadgen.check_report (replica_artifact ()) with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error msg -> Alcotest.failf "valid replica artifact rejected: %s" msg);
   (* one lost replica leaking a PARTIAL is a broken failover, not a datapoint *)
   expect_reject "nonzero lost partials" (replica_artifact ~lost_partials:3.0 ()) "partials";
   expect_reject "missing query passes" (replica_artifact ~drop:"query" ()) "query";
   expect_reject "missing ingest rates" (replica_artifact ~drop:"ingest" ()) "ingest";
   expect_reject "missing catchup" (replica_artifact ~drop:"catchup" ()) "catchup"
+
+(* Shard artifacts pin the degraded-service claim: a healthy pass has
+   no PARTIAL, and losing one shard per query makes every query
+   PARTIAL. *)
+let shard_artifact ?(healthy = 0.0) ?(degraded = 80.0) () =
+  let pass partials =
+    Json.Obj [ ("p50_ms", Json.Num 1.5); ("p99_ms", Json.Num 7.0); ("partials", Json.Num partials) ]
+  in
+  Json.Obj
+    [
+      ("schema_version", Json.Num 1.0);
+      ("bench", Json.Str "shard");
+      ("queries_per_pass", Json.Num 80.0);
+      ( "series",
+        Json.List
+          (List.map
+             (fun shards ->
+               Json.Obj
+                 [ ("shards", Json.Num shards); ("healthy", pass healthy); ("degraded", pass degraded) ])
+             [ 1.0; 4.0; 16.0 ]) );
+    ]
+
+let test_schema_gate_shard () =
+  (match Loadgen.check_report (shard_artifact ()) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "valid shard artifact rejected: %s" msg);
+  expect_reject "healthy partials" (shard_artifact ~healthy:1.0 ()) "healthy.partials";
+  expect_reject "degraded pass missing a PARTIAL" (shard_artifact ~degraded:79.0 ())
+    "degraded.partials";
+  expect_reject "more degraded partials than queries" (shard_artifact ~degraded:81.0 ())
+    "queries_per_pass"
+
+(* Ingest artifacts: a run that never merged measured no merge cadence. *)
+let ingest_artifact ?(drop = "") ?(merges = 50.0) () =
+  Json.Obj
+    [
+      ("schema_version", Json.Num 1.0);
+      ("bench", Json.Str "ingest");
+      ("merge_interval_ms", Json.Num 200.0);
+      ( "ingest",
+        Json.Obj
+          (List.filter
+             (fun (k, _) -> k <> drop)
+             [
+               ("docs", Json.Num 600.0);
+               ("bytes", Json.Num 121580.0);
+               ("wall_ms", Json.Num 4282.7);
+               ("docs_per_s", Json.Num 140.1);
+             ]) );
+      ( "mixed",
+        Json.Obj
+          [
+            ("queries", Json.Num 810.0);
+            ("query_p50_ms", Json.Num 4.5);
+            ("query_p99_ms", Json.Num 147.8);
+            ("staleness_p50_ms", Json.Num 88.6);
+            ("staleness_p95_ms", Json.Num 228.2);
+            ("staleness_max_ms", Json.Num 343.5);
+            ("ingests", Json.Num 790.0);
+            ("merges", Json.Num merges);
+          ] );
+    ]
+
+let test_schema_gate_ingest () =
+  (match Loadgen.check_report (ingest_artifact ()) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "valid ingest artifact rejected: %s" msg);
+  expect_reject "missing ingest rate" (ingest_artifact ~drop:"docs_per_s" ()) "ingest.docs_per_s";
+  expect_reject "no merge" (ingest_artifact ~merges:0.0 ()) "mixed.merges"
+
+(* Every artifact names its schema: no tag and an unknown tag are both
+   errors that list the known tags, never a silent fall-back to serve. *)
+let test_schema_gate_tags () =
+  let retag tag =
+    match minimal_valid with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.filter_map
+           (fun (k, v) -> if k = "bench" then Option.map (fun t -> (k, Json.Str t)) tag else Some (k, v))
+           fields)
+    | other -> other
+  in
+  let known = "serve, twig, replica, shard, ingest" in
+  expect_reject "missing bench tag" (retag None) known;
+  expect_reject "unknown bench tag" (retag (Some "twgi")) known;
+  expect_reject "mistyped bench tag"
+    (Json.Obj [ ("schema_version", Json.Num 1.0); ("bench", Json.Num 1.0) ])
+    known
+
+(* The checked-in artifacts back README and DESIGN.md claims; each must
+   pass the gate, with the summary its kind prints. *)
+let test_checked_in_artifacts () =
+  List.iter
+    (fun (file, summary_suffix) ->
+      let text = In_channel.with_open_bin (Filename.concat ".." file) In_channel.input_all in
+      match Result.bind (Json.parse text) Loadgen.check_report with
+      | Ok summary ->
+        check_bool
+          (Printf.sprintf "%s summary %S ends with %S" file summary summary_suffix)
+          true
+          (String.ends_with ~suffix:summary_suffix summary)
+      | Error msg -> Alcotest.failf "%s rejected: %s" file msg)
+    [
+      ("BENCH_serve.json", " scales");
+      ("BENCH_twig.json", " series entries");
+      ("BENCH_replica.json", "replica: healthy and replica-lost passes, 0 lost-pass partials");
+      ("BENCH_shard.json", " queries");
+      ("BENCH_ingest.json", " merges");
+    ]
 
 let test_json_roundtrip () =
   let v =
@@ -260,6 +376,10 @@ let () =
           Alcotest.test_case "schema gate accepts and rejects" `Quick test_schema_gate;
           Alcotest.test_case "schema gate: twig artifacts" `Quick test_schema_gate_twig;
           Alcotest.test_case "schema gate: replica artifacts" `Quick test_schema_gate_replica;
+          Alcotest.test_case "schema gate: shard artifacts" `Quick test_schema_gate_shard;
+          Alcotest.test_case "schema gate: ingest artifacts" `Quick test_schema_gate_ingest;
+          Alcotest.test_case "schema gate: bench tags" `Quick test_schema_gate_tags;
+          Alcotest.test_case "checked-in artifacts pass the gate" `Quick test_checked_in_artifacts;
         ] );
       ("json", [ Alcotest.test_case "emit/parse round-trip" `Quick test_json_roundtrip ]);
     ]

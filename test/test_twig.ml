@@ -1,7 +1,7 @@
 (* Differential tests for the holistic twig operator (DESIGN.md §4k).
 
    The claim under test: [Joins.Exec.run ~executor:Binary] and the
-   holistic twig operator ([Auto]/[Holistic] on conjunctive plans)
+   holistic twig operator ([Auto] on conjunctive plans)
    produce byte-identical results — same targets, same float bits,
    same satisfied/failed predicate sets — at every level of the stack:
    the raw executor, the three top-K algorithms under every ranking
@@ -105,7 +105,7 @@ let test_exec_differential () =
           in
           let binary = run Exec.Binary in
           check_bool (label ^ ": answers nonempty or both empty") true
-            (binary = run Exec.Auto && binary = run Exec.Holistic))
+            (binary = run Exec.Auto))
         (strategies 10))
     op_sets
 
@@ -131,11 +131,11 @@ let test_exec_metrics_and_fallback () =
   let m_rel = run Exec.Auto relaxed in
   check_int "relaxed conjunctive still holistic" 1 m_rel.Exec.holistic_runs;
   check_int "relaxed encoding skips the fast path" 0 m_rel.Exec.holistic_fast_paths;
-  (* optional spec (leaf deletion): even a forced Holistic falls back *)
+  (* optional spec (leaf deletion): Auto falls back to the pipeline *)
   let optional = Encoded.of_ops_exn q [ Op.Contains_promotion (4, kw); Op.Leaf_deletion 4 ] in
   check_bool "optional spec not twig-applicable" false (Twig.applicable optional);
-  let m_opt = run Exec.Holistic optional in
-  check_int "forced holistic falls back on optional specs" 0 m_opt.Exec.holistic_runs
+  let m_opt = run Exec.Auto optional in
+  check_int "auto falls back on optional specs" 0 m_opt.Exec.holistic_runs
 
 let test_fast_path_preserves_failpoint_schedule () =
   (* the fast path fires "exec.stage" once per join stage so counted
