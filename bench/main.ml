@@ -610,7 +610,7 @@ let abl_ingest ~quick () =
           let monitor () =
             let corpus = Option.get (Server.corpus srv) in
             while running () do
-              staleness := Flexpath.Corpus.staleness_ms corpus 0 :: !staleness;
+              staleness := (Flexpath.Corpus.health corpus).(0).h_staleness_ms :: !staleness;
               Unix.sleepf 0.01
             done
           in

@@ -106,8 +106,6 @@ let build_plan env ?(max_steps = 32) q =
         chain.(Array.length chain - 1).Relax.Space.score);
   { pquery = q; penv; chain; encoded = Array.map (fun _ -> Atomic.make None) chain }
 
-let plan_entries p = Array.to_list p.chain
-
 let encoded_entry p i =
   match Atomic.get p.encoded.(i) with
   | Some enc -> enc

@@ -121,8 +121,6 @@ val build_plan : Env.t -> ?max_steps:int -> Tpq.Query.t -> plan
     {!Corpus.query} plan through here, so an over-capacity query costs
     no chain. *)
 
-val plan_entries : plan -> Relax.Space.entry list
-
 val encoded_entry : plan -> int -> Joins.Encoded.t
 (** The compiled join plan of chain entry [i], compiling and publishing
     it on first use. *)

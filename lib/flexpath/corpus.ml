@@ -309,7 +309,39 @@ let replica_paths ~prefix i j =
    it was away (or tore its WAL) and must catch up before serving. *)
 let synced_with_primary ~prim_ids st = List.equal String.equal prim_ids (Ingest.store_ids st)
 
-let open_corpus ?weights ?hierarchy ?scorer ?limits
+(* Settle who is in sync after replicas recovered from their own
+   files: at open, and under [reg_lock] after a reload.  The recovery
+   reference is the live replica with the largest recovered acked set,
+   ties to the lowest index: a replica that accepted writes while its
+   peers were down must win, or its acked records would be clobbered
+   by catch-up.  (Delete-only divergence can still pick the stale
+   copy; term/epoch numbers are the named follow-up in DESIGN.md §4l.)
+   Every live replica that differs from the reference is out of sync
+   until catch-up.  Returns the reference's ids, [[]] when none is
+   live. *)
+let settle_sync replicas =
+  let live =
+    Array.to_list replicas
+    |> List.filter_map (fun r ->
+           match r.rep_store with
+           | Some st when not r.rep_quarantined -> Some (r, Ingest.store_ids st)
+           | _ -> None)
+  in
+  let reference =
+    List.fold_left
+      (fun acc (_, ids) ->
+        match acc with
+        | Some best when List.length best >= List.length ids -> acc
+        | _ -> Some ids)
+      None live
+  in
+  match reference with
+  | None -> []
+  | Some prim_ids ->
+    List.iter (fun (r, ids) -> r.rep_synced <- List.equal String.equal prim_ids ids) live;
+    prim_ids
+
+let open_corpus ?weights ?hierarchy ?limits
     ?(strike_threshold = default_strike_threshold) ?(probe_domains = 0) ?(replicas = 1)
     ?(ack_mode = Sync) ?probation_ms ?(cache_mb = Some 64) ~shards ~prefix () =
   if shards < 1 || shards > 1024 then
@@ -321,11 +353,11 @@ let open_corpus ?weights ?hierarchy ?scorer ?limits
       (Error.Config_error
          { what = "replicas"; message = Printf.sprintf "replica count %d outside 1..8" replicas })
   else
-    match Result.map Ingest.env (Ingest.empty ?weights ?hierarchy ?scorer ()) with
+    match Result.map Ingest.env (Ingest.empty ?weights ?hierarchy ()) with
     | Error e -> Error e
     | Ok fallback_env ->
       let reopen ~snapshot ~wal =
-        Ingest.open_store ?weights ?hierarchy ?scorer ?limits ?probation_ms ~snapshot ~wal ()
+        Ingest.open_store ?weights ?hierarchy ?limits ?probation_ms ~snapshot ~wal ()
       in
       let shard_arr =
         Array.init shards (fun i ->
@@ -356,32 +388,7 @@ let open_corpus ?weights ?hierarchy ?scorer ?limits
                   | Error e -> rep.rep_last_error <- Some (Error.to_string e));
                   rep)
             in
-            (* Pick the recovery reference: the live replica with the
-               largest recovered acked set (ties to the lowest index) —
-               a replica that accepted writes while its peers were down
-               must win, or its acked records would be clobbered by
-               catch-up.  (Delete-only divergence can still pick the
-               stale copy; term/epoch numbers are the named follow-up
-               in DESIGN.md §4l.)  Everything that differs from the
-               reference is out-of-sync until catch-up. *)
-            (match
-               Array.to_list reps
-               |> List.filter_map (fun r -> Option.map (fun st -> (r, Ingest.store_ids st)) r.rep_store)
-               |> List.fold_left
-                    (fun acc (r, ids) ->
-                      match acc with
-                      | Some (_, best) when List.length best >= List.length ids -> acc
-                      | _ -> Some (r, ids))
-                    None
-             with
-            | None -> ()
-            | Some (_, prim_ids) ->
-              Array.iter
-                (fun r ->
-                  match r.rep_store with
-                  | Some st when not (synced_with_primary ~prim_ids st) -> r.rep_synced <- false
-                  | _ -> ())
-                reps);
+            ignore (settle_sync reps);
             { ord = i; replicas = reps; wlock = Mutex.create () })
       in
       let order =
@@ -722,35 +729,6 @@ let reopen_replica t rep =
         rep.rep_synced <- false);
     Error e
 
-(* After reopening replicas from disk, re-derive who is in sync: the
-   reference is the live replica with the largest recovered acked set
-   (same rule as [open_corpus]); everything equal to it is in sync.
-   [reg_lock] NOT held.  Returns the reference's ids. *)
-let resync_shard t s =
-  let live =
-    Array.to_list s.replicas
-    |> List.filter_map (fun r ->
-           match r.rep_store with
-           | Some st when not r.rep_quarantined -> Some (r, Ingest.store_ids st)
-           | _ -> None)
-  in
-  let reference =
-    List.fold_left
-      (fun acc (r, ids) ->
-        match acc with
-        | Some (_, best) when List.length best >= List.length ids -> acc
-        | _ -> Some (r, ids))
-      None live
-  in
-  with_lock t.reg_lock (fun () ->
-      match reference with
-      | None -> []
-      | Some (_, prim_ids) ->
-        List.iter
-          (fun (r, ids) -> r.rep_synced <- List.equal String.equal prim_ids ids)
-          live;
-        prim_ids)
-
 let reload t ?replica ord =
   match check_ord t ord with
   | Error e -> Error e
@@ -779,8 +757,7 @@ let reload t ?replica ord =
               match reopen_replica t rep with
               | Error e -> Error e
               | Ok () ->
-                let recovered = resync_shard t s in
-                with_lock t.reg_lock (fun () -> reconcile_order t ord recovered);
+                with_lock t.reg_lock (fun () -> reconcile_order t ord (settle_sync s.replicas));
                 Ok ())
           in
           with_lock t.reg_lock (fun () -> publish t);
@@ -795,8 +772,7 @@ let reload t ?replica ord =
             |> List.filter_map (fun rep ->
                    match reopen_replica t rep with Ok () -> None | Error e -> Some e)
           in
-          let recovered = resync_shard t s in
-          with_lock t.reg_lock (fun () -> reconcile_order t ord recovered);
+          with_lock t.reg_lock (fun () -> reconcile_order t ord (settle_sync s.replicas));
           (match primary_of s with
           | Some prim ->
             Array.iter
@@ -896,34 +872,21 @@ let health t =
             })
           s.replicas
       in
-      (* The shard-level line keeps the PR-7 shape, reported from the
-         primary's perspective; a shard is live when any replica can
-         serve. *)
-      let p = prim in
-      let docs, unmerged, staleness, wal_bytes, replayed =
-        match p with
-        | Some r -> (
-          match r.rep_store with
-          | Some st ->
-            ( Ingest.doc_count st,
-              Ingest.unmerged_records st,
-              Ingest.staleness_ms st,
-              Ingest.wal_bytes st,
-              Ingest.replayed_records st )
-          | None -> (0, 0, 0., 0, 0))
-        | None -> (0, 0, 0., 0, 0)
-      in
+      (* The shard-level line is the primary's replica record; a shard
+         is live when any replica can serve. *)
+      let p = Array.find_opt (fun r -> r.rh_role = Primary) reps in
+      let of_primary f dflt = match p with Some r -> f r | None -> dflt in
       {
         h_ord = s.ord;
         h_live = p <> None;
         h_quarantined = Array.for_all (fun r -> r.rep_quarantined) s.replicas;
-        h_generation = (match p with Some r -> r.rep_generation | None -> s.replicas.(0).rep_generation);
-        h_docs = docs;
+        h_generation = of_primary (fun r -> r.rh_generation) reps.(0).rh_generation;
+        h_docs = of_primary (fun r -> r.rh_docs) 0;
         h_strikes = Array.fold_left (fun acc r -> acc + r.rep_strikes) 0 s.replicas;
-        h_unmerged = unmerged;
-        h_staleness_ms = staleness;
-        h_wal_bytes = wal_bytes;
-        h_replayed = replayed;
+        h_unmerged = of_primary (fun r -> r.rh_unmerged) 0;
+        h_staleness_ms = of_primary (fun r -> r.rh_staleness_ms) 0.;
+        h_wal_bytes = of_primary (fun r -> r.rh_wal_bytes) 0;
+        h_replayed = of_primary (fun r -> r.rh_replayed) 0;
         h_last_error = Array.to_list s.replicas |> List.find_map (fun r -> r.rep_last_error);
         h_replicas = reps;
       })
@@ -961,26 +924,6 @@ let merge_backlog t ord =
         in
         max acc b)
       0 s.replicas
-
-let staleness_ms t ord =
-  match check_ord t ord with
-  | Error _ -> 0.
-  | Ok s -> (
-    match primary_of s with
-    | Some r -> Ingest.staleness_ms (Option.get r.rep_store)
-    | None -> 0.)
-
-(* True when some replica of the routed shard is inside its read-only
-   probation — the server's write path surfaces the hint. *)
-let readonly_hint t ord =
-  match check_ord t ord with
-  | Error _ -> None
-  | Ok s -> (
-    match primary_of s with
-    | Some r ->
-      let st = Option.get r.rep_store in
-      if Ingest.readonly st then Some (Ingest.readonly_retry_after_ms st) else None
-    | None -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Scatter-gather query *)

@@ -67,7 +67,6 @@ val route : shards:int -> string -> int
 val open_corpus :
   ?weights:Relax.Penalty.weights ->
   ?hierarchy:Tpq.Hierarchy.t ->
-  ?scorer:Fulltext.Scorer.t ->
   ?limits:Ingest.limits ->
   ?strike_threshold:int ->
   ?probe_domains:int ->
@@ -175,13 +174,6 @@ val merge_backlog : t -> int -> int
     signal ([retry-after] hints reflect the {e routed} shard's replica
     set, not a global queue). *)
 
-val staleness_ms : t -> int -> float
-
-val readonly_hint : t -> int -> int option
-(** [Some retry_after_ms] when the routed shard's primary store is
-    inside its read-only probation ({!Ingest.readonly}) — what the
-    server turns into a [READONLY] wire response. *)
-
 (** {2 Health} *)
 
 type replica_role = Primary | Follower
@@ -215,8 +207,8 @@ type shard_health = {
   h_generation : int;
   h_docs : int;
   h_strikes : int;  (** Summed over the replica set. *)
-  h_unmerged : int;
-  h_staleness_ms : float;
+  h_unmerged : int;  (** The primary's merge backlog (WAL records). *)
+  h_staleness_ms : float;  (** Age of the primary's oldest unmerged write. *)
   h_wal_bytes : int;
   h_replayed : int;  (** WAL records replayed when the primary last opened. *)
   h_last_error : string option;
@@ -224,6 +216,11 @@ type shard_health = {
 }
 
 val health : t -> shard_health array
+(** The one description of the corpus's shards and replicas, one
+    record per shard in ordinal order.  A shard's docs, unmerged,
+    staleness, WAL and replay fields are its primary's replica record
+    (zero while the set has no primary).  The server renders [SHARDS]
+    and [STATS] from it. *)
 
 val scoring_env : t -> Env.t
 (** The merged scoring view — any live shard's environment, whose

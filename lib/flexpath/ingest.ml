@@ -97,7 +97,7 @@ let of_docs ?weights ?hierarchy ?scorer docs =
   | Ok env -> Ok { env; ids = List.map fst docs }
   | Error e -> Error e
 
-let empty ?weights ?hierarchy ?scorer () = of_docs ?weights ?hierarchy ?scorer []
+let empty ?weights ?hierarchy () = of_docs ?weights ?hierarchy []
 
 let ids corpus = corpus.ids
 let env corpus = corpus.env
@@ -234,14 +234,14 @@ let next_auto_of ids =
 
 let default_probation_ms = 2_000.0
 
-let open_store ?weights ?hierarchy ?scorer ?(limits = default_limits)
+let open_store ?weights ?hierarchy ?(limits = default_limits)
     ?(probation_ms = default_probation_ms) ~snapshot ~wal:wal_path () =
   let base =
     if Sys.file_exists snapshot then
       match Storage.load ?weights snapshot with
       | Error e -> Error e
       | Ok (env, _outcome) -> of_env env
-    else empty ?weights ?hierarchy ?scorer ()
+    else empty ?weights ?hierarchy ()
   in
   match base with
   | Error e -> Error e

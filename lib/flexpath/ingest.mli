@@ -58,7 +58,6 @@ type corpus
 val empty :
   ?weights:Relax.Penalty.weights ->
   ?hierarchy:Tpq.Hierarchy.t ->
-  ?scorer:Fulltext.Scorer.t ->
   unit ->
   (corpus, Error.t) result
 
@@ -105,7 +104,6 @@ val default_probation_ms : float
 val open_store :
   ?weights:Relax.Penalty.weights ->
   ?hierarchy:Tpq.Hierarchy.t ->
-  ?scorer:Fulltext.Scorer.t ->
   ?limits:limits ->
   ?probation_ms:float ->
   snapshot:string ->
@@ -114,8 +112,8 @@ val open_store :
   (store, Error.t) result
 (** Load the snapshot if present (else start empty), open the WAL and
     replay its valid prefix.  [snapshot] is also where {!merge}
-    publishes; [weights]/[hierarchy]/[scorer] apply when starting
-    empty (a snapshot carries its own index and hierarchy).
+    publishes; [weights]/[hierarchy] apply when starting empty (a
+    snapshot carries its own index and hierarchy).
     [probation_ms] scopes the read-only degrade (below). *)
 
 val next_auto_of : string list -> int

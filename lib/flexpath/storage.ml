@@ -375,8 +375,6 @@ let load ?(weights = Relax.Penalty.uniform) path =
               Ok (env, outcome))))
       | v -> snap path (Error.Version_skew { found = v; newest = format_version })))
 
-let load_env ?weights path = Result.map fst (load ?weights path)
-
 (* ------------------------------------------------------------------ *)
 (* Verify *)
 

@@ -61,10 +61,6 @@ val load : ?weights:Relax.Penalty.weights -> string -> (Env.t * outcome, Error.t
     garbage.  Damage limited to derived sections degrades to a rebuild
     ({!Recovered}), not an error.  Never raises on any file content. *)
 
-val load_env : ?weights:Relax.Penalty.weights -> string -> (Env.t, Error.t) result
-(** {!load} without the outcome, for callers that do not report
-    recovery. *)
-
 (** {2 Verification} *)
 
 type section_report = { name : string; offset : int; bytes : int; ok : bool }

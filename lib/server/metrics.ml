@@ -140,15 +140,6 @@ let snapshot t =
         merge_respawns = t.merge_respawns;
       })
 
-type ingest_gauges = {
-  corpus_docs : int;
-  delta_docs : int;
-  wal_bytes : int;
-  staleness_ms : float;
-  wal_replayed_records : int;
-  readonly_stores : int;
-}
-
 type loop_gauges = {
   open_connections : int;
   fds_in_use : int;
@@ -158,51 +149,18 @@ type loop_gauges = {
   loop_lag_p99_ms : float;
 }
 
-type replica_gauges = {
-  replica_idx : int;
-  replica_role : string;  (** ["primary"] / ["follower"]. *)
-  replica_live : bool;
-  replica_quarantined : bool;
-  replica_synced : bool;
-  replica_generation : int;
-  replica_docs : int;
-  replica_lag : int;
-  replica_lag_ms : float;
-  replica_readonly : bool;
-  replica_readonly_retry_ms : int;
-}
+type data = Snapshot of { generation : int } | Corpus of string list
 
-type shard_gauges = {
-  shard_live : bool;
-  shard_quarantined : bool;
-  shard_generation : int;
-  shard_docs : int;
-  shard_strikes : int;
-  shard_unmerged : int;
-  shard_staleness_ms : float;
-  shard_wal_bytes : int;
-  shard_replicas : replica_gauges list;
-      (** Per-replica detail; rendered only past one replica, so the
-          single-copy STATS format is unchanged at [R = 1]. *)
-}
-
-(* The corpus cache-key convention: one component per shard, [!]
-   marking a shard that cannot serve. *)
-let generation_vector shards =
-  String.concat "."
-    (List.map
-       (fun g ->
-         if g.shard_live then string_of_int g.shard_generation
-         else string_of_int g.shard_generation ^ "!")
-       shards)
-
-let render t ?loop ~queue_depth ~queue_capacity ~generation ~uptime_s ~cache ~ingest ~shards () =
+let render t ?loop ~queue_depth ~queue_capacity ~uptime_s ~cache ~data () =
   with_lock t (fun () ->
       let b = Buffer.create 512 in
       let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
       line "uptime_s: %.1f" uptime_s;
-      line "generation: %d" generation;
-      line "snapshot_generation: %d" generation;
+      (match data with
+      | Snapshot { generation } ->
+        line "generation: %d" generation;
+        line "snapshot_generation: %d" generation
+      | Corpus _ -> ());
       line "queue_depth: %d/%d" queue_depth queue_capacity;
       line "connections_admitted: %d" t.connections_admitted;
       line "connections_rejected: %d" t.connections_rejected;
@@ -227,55 +185,16 @@ let render t ?loop ~queue_depth ~queue_capacity ~generation ~uptime_s ~cache ~in
         else
           line "loop_lag_ms count=%d p50=%.3f p99=%.3f" g.loop_lag_count g.loop_lag_p50_ms
             g.loop_lag_p99_ms);
-      (match ingest with
-      | None -> line "ingest: off"
-      | Some g ->
+      (match data with
+      | Snapshot _ -> line "ingest: off"
+      | Corpus lines ->
         line "ingests: %d" t.ingests;
         line "deletes: %d" t.deletes;
         line "writes_rejected: %d" t.writes_rejected;
         line "merges: %d" t.merges;
         line "merge_failures: %d" t.merge_failures;
         line "merge_respawns: %d" t.merge_respawns;
-        line "corpus_docs: %d" g.corpus_docs;
-        line "delta_docs: %d" g.delta_docs;
-        line "wal_bytes: %d" g.wal_bytes;
-        line "staleness_ms: %.0f" g.staleness_ms;
-        line "wal_replayed_records: %d" g.wal_replayed_records;
-        line "readonly: %s" (if g.readonly_stores > 0 then "yes" else "no");
-        if g.readonly_stores > 0 then line "readonly_stores: %d" g.readonly_stores);
-      (match (shards : shard_gauges list) with
-      | [] -> ()
-      | gs ->
-        let live = List.length (List.filter (fun g -> g.shard_live) gs) in
-        line "shards: %d/%d" live (List.length gs);
-        line "generation_vector: %s" (generation_vector gs);
-        List.iteri
-          (fun i g ->
-            line "shard %d: %s generation=%d docs=%d strikes=%d unmerged=%d staleness_ms=%.0f wal_bytes=%d"
-              i
-              (if g.shard_quarantined then "quarantined"
-               else if g.shard_live then "live"
-               else "down")
-              g.shard_generation g.shard_docs g.shard_strikes g.shard_unmerged
-              g.shard_staleness_ms g.shard_wal_bytes;
-            if List.length g.shard_replicas > 1 then
-              List.iter
-                (fun r ->
-                  line
-                    "shard %d replica %d: %s %s generation=%d docs=%d lag=%d lag_ms=%.0f \
-                     readonly=%s%s"
-                    i r.replica_idx r.replica_role
-                    (if r.replica_quarantined then "quarantined"
-                     else if not r.replica_live then "down"
-                     else if r.replica_synced then "synced"
-                     else "catching-up")
-                    r.replica_generation r.replica_docs r.replica_lag r.replica_lag_ms
-                    (if r.replica_readonly then "yes" else "no")
-                    (if r.replica_readonly then
-                       Printf.sprintf " retry_after_ms=%d" r.replica_readonly_retry_ms
-                     else ""))
-                g.shard_replicas)
-          gs);
+        List.iter (line "%s") lines);
       (match (cache : Flexpath.Qcache.counters option) with
       | None -> line "cache: off"
       | Some c ->

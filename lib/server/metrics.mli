@@ -93,22 +93,6 @@ val snapshot : t -> snapshot
     (chaos-soak asserts [lost = respawned] and the connection
     conservation identity without parsing the [STATS] rendering). *)
 
-type ingest_gauges = {
-  corpus_docs : int;  (** Documents in the served corpus. *)
-  delta_docs : int;  (** Acknowledged writes not yet merged (WAL records). *)
-  wal_bytes : int;
-  staleness_ms : float;
-      (** Age of the oldest unmerged write — bounded by the merge
-          interval while the merge domain is healthy. *)
-  wal_replayed_records : int;  (** WAL records replayed at startup. *)
-  readonly_stores : int;
-      (** Stores currently inside their read-only degrade (disk-fault
-          probation, DESIGN.md §4l); renders the [readonly: yes/no]
-          flag. *)
-}
-(** Point-in-time ingestion gauges the server samples from its
-    {!Flexpath.Ingest} store when rendering [STATS]. *)
-
 type loop_gauges = {
   open_connections : int;  (** Connections the event loop currently owns. *)
   fds_in_use : int;  (** Those plus the loop's own descriptors. *)
@@ -124,61 +108,32 @@ type loop_gauges = {
 (** Point-in-time event-loop gauges, sampled from {!Eventloop.stats}
     when rendering [STATS]. *)
 
-type replica_gauges = {
-  replica_idx : int;
-  replica_role : string;  (** ["primary"] / ["follower"]. *)
-  replica_live : bool;
-  replica_quarantined : bool;
-  replica_synced : bool;  (** Holds exactly the primary's acked set. *)
-  replica_generation : int;
-  replica_docs : int;
-  replica_lag : int;  (** Shipped records queued but not yet applied. *)
-  replica_lag_ms : float;  (** Age of the oldest queued record. *)
-  replica_readonly : bool;
-  replica_readonly_retry_ms : int;
-}
-(** Per-replica gauges of one shard's replica set (DESIGN.md §4l),
-    sampled from {!Flexpath.Corpus.health}. *)
-
-type shard_gauges = {
-  shard_live : bool;
-  shard_quarantined : bool;
-  shard_generation : int;
-  shard_docs : int;
-  shard_strikes : int;
-  shard_unmerged : int;  (** This shard's own merge backlog (WAL records). *)
-  shard_staleness_ms : float;
-  shard_wal_bytes : int;
-  shard_replicas : replica_gauges list;
-      (** Rendered as [shard <i> replica <j>: …] lines only past one
-          replica — the [R = 1] STATS format is byte-identical to the
-          pre-replication one. *)
-}
-(** Point-in-time per-shard gauges, sampled from
-    {!Flexpath.Corpus.health} when the server runs a sharded corpus. *)
+type data =
+  | Snapshot of { generation : int }
+      (** A read-only server's slot: [generation] is 1 at start and
+          bumped by each [RELOAD]. *)
+  | Corpus of string list
+      (** A writable server's corpus, as the lines the server renders
+          from {!Flexpath.Corpus.health}; this module never looks
+          inside them. *)
 
 val render :
   t ->
   ?loop:loop_gauges ->
   queue_depth:int ->
   queue_capacity:int ->
-  generation:int ->
   uptime_s:float ->
   cache:Flexpath.Qcache.counters option ->
-  ingest:ingest_gauges option ->
-  shards:shard_gauges list ->
+  data:data ->
   unit ->
   string
-(** The [STATS] response body: [key: value] lines (counters, queue
-    occupancy, snapshot generation, the event-loop gauges when [loop]
-    is given — [open_connections], [fds_in_use], [bytes_buffered] and
-    [loop_lag_ms count=N p50=… p99=…] — the current generation's
-    query-cache counters — or [cache: off] — and, with ingestion
-    enabled, the write counters and {!ingest_gauges} lines — or
-    [ingest: off]) followed by one latency line per endpoint:
-    [latency_ms <endpoint> count=N p50=… p90=… p99=…], or just
-    [latency_ms <endpoint> count=0] while the endpoint has no samples
-    (never [nan]).  A non-empty [shards] (the sharded-corpus mode)
-    adds [shards: live/total], [generation_vector: …] (the corpus
-    cache-key scope, [!] marking unservable shards) and one
-    [shard <i>: …] gauge line per shard. *)
+(** The [STATS] response body: [key: value] lines — counters, queue
+    occupancy, the event-loop gauges when [loop] is given
+    ([open_connections], [fds_in_use], [bytes_buffered] and
+    [loop_lag_ms count=N p50=… p99=…]), the current query-cache
+    counters or [cache: off] — followed by one latency line per
+    endpoint: [latency_ms <endpoint> count=N p50=… p90=… p99=…], or
+    just [latency_ms <endpoint> count=0] while the endpoint has no
+    samples (never [nan]).  A [Snapshot] adds [generation:] and
+    [snapshot_generation:] lines and [ingest: off]; a [Corpus] adds
+    the write counters followed by its own lines verbatim. *)

@@ -191,8 +191,8 @@ let create cfg ~env =
   match open_corpus cfg ~env with
   | Error e -> Error e
   | Ok corpus -> (
-    (* A corpus owns its cache and answers QUERY and RELAX itself; its
-       slot only carries the generation STATS reports. *)
+    (* A corpus owns its cache, answers QUERY and RELAX itself and
+       reports its own generation vector; its slot goes unused. *)
     let cache = if Option.is_none corpus then fresh_cache cfg else None in
     let close_store () = Option.iter (fun (crt : corpus_rt) -> Corpus.close crt.corpus) corpus in
     let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -390,65 +390,11 @@ let write_error_response e =
       `Error )
   | e -> (Protocol.Err, Error.to_string e, `Error)
 
-(* Corpus-wide ingestion gauges: sums (docs, backlog, WAL bytes,
-   replay) and the max staleness — the slowest shard bounds the
-   corpus's merge freshness. *)
-let corpus_ingest_gauges c =
-  let h = Corpus.health c in
-  {
-    Metrics.corpus_docs = Corpus.doc_count c;
-    delta_docs = Array.fold_left (fun a (s : Corpus.shard_health) -> a + s.h_unmerged) 0 h;
-    wal_bytes = Array.fold_left (fun a (s : Corpus.shard_health) -> a + s.h_wal_bytes) 0 h;
-    staleness_ms =
-      Array.fold_left (fun a (s : Corpus.shard_health) -> Float.max a s.h_staleness_ms) 0.0 h;
-    wal_replayed_records =
-      Array.fold_left (fun a (s : Corpus.shard_health) -> a + s.h_replayed) 0 h;
-    readonly_stores =
-      Array.fold_left
-        (fun a (s : Corpus.shard_health) ->
-          a
-          + Array.fold_left
-              (fun a (r : Corpus.replica_health) -> if r.rh_readonly then a + 1 else a)
-              0 s.h_replicas)
-        0 h;
-  }
-
-let replica_gauges (r : Corpus.replica_health) =
-  {
-    Metrics.replica_idx = r.rh_idx;
-    replica_role = Corpus.role_to_string r.rh_role;
-    replica_live = r.rh_live;
-    replica_quarantined = r.rh_quarantined;
-    replica_synced = r.rh_synced;
-    replica_generation = r.rh_generation;
-    replica_docs = r.rh_docs;
-    replica_lag = r.rh_lag;
-    replica_lag_ms = r.rh_lag_ms;
-    replica_readonly = r.rh_readonly;
-    replica_readonly_retry_ms = r.rh_readonly_retry_ms;
-  }
-
-let corpus_shard_gauges c =
-  Array.to_list
-    (Array.map
-       (fun (s : Corpus.shard_health) ->
-         {
-           Metrics.shard_live = s.h_live;
-           shard_quarantined = s.h_quarantined;
-           shard_generation = s.h_generation;
-           shard_docs = s.h_docs;
-           shard_strikes = s.h_strikes;
-           shard_unmerged = s.h_unmerged;
-           shard_staleness_ms = s.h_staleness_ms;
-           shard_wal_bytes = s.h_wal_bytes;
-           shard_replicas = Array.to_list (Array.map replica_gauges s.h_replicas);
-         })
-       (Corpus.health c))
-
-let exec_shards (crt : corpus_rt) =
-  (* One line per shard, exactly the PR-7 format at [R = 1]; past one
-     replica each shard line is followed by one indented line per
-     replica (role, sync/lag, read-only state — satellite of §4l). *)
+(* The one rendering of {!Corpus.health}: SHARDS's body and the tail
+   of STATS's corpus section.  One line per shard; past one replica
+   each shard line is followed by one indented line per replica (role,
+   sync/lag, read-only state). *)
+let health_lines health =
   let replica_lines (s : Corpus.shard_health) =
     if Array.length s.h_replicas <= 1 then []
     else
@@ -473,22 +419,50 @@ let exec_shards (crt : corpus_rt) =
                (match r.rh_last_error with None -> "" | Some e -> "  error=" ^ e))
            s.h_replicas)
   in
-  let lines =
-    List.concat_map
-      (fun (s : Corpus.shard_health) ->
-        let state =
-          if s.h_quarantined then "quarantined" else if s.h_live then "live" else "down"
-        in
-        Printf.sprintf
-          "shard %d: %s generation=%d docs=%d strikes=%d unmerged=%d staleness_ms=%.0f \
-           wal_bytes=%d replayed=%d%s"
-          s.h_ord state s.h_generation s.h_docs s.h_strikes s.h_unmerged s.h_staleness_ms
-          s.h_wal_bytes s.h_replayed
-          (match s.h_last_error with None -> "" | Some e -> "  error=" ^ e)
-        :: replica_lines s)
-      (Array.to_list (Corpus.health crt.corpus))
+  List.concat_map
+    (fun (s : Corpus.shard_health) ->
+      let state =
+        if s.h_quarantined then "quarantined" else if s.h_live then "live" else "down"
+      in
+      Printf.sprintf
+        "shard %d: %s generation=%d docs=%d strikes=%d unmerged=%d staleness_ms=%.0f \
+         wal_bytes=%d replayed=%d%s"
+        s.h_ord state s.h_generation s.h_docs s.h_strikes s.h_unmerged s.h_staleness_ms
+        s.h_wal_bytes s.h_replayed
+        (match s.h_last_error with None -> "" | Some e -> "  error=" ^ e)
+      :: replica_lines s)
+    (Array.to_list health)
+
+let exec_shards (crt : corpus_rt) =
+  (Protocol.Ok_, String.concat "\n" (health_lines (Corpus.health crt.corpus)), `Ok)
+
+(* STATS's corpus section, from one health snapshot: the live count,
+   the generation vector that scopes every cache key, corpus-wide sums
+   (the max staleness — the slowest shard bounds the corpus's merge
+   freshness), then the SHARDS lines. *)
+let corpus_stats_lines c =
+  let h = Corpus.health c in
+  let sum f = Array.fold_left (fun a (s : Corpus.shard_health) -> a + f s) 0 h in
+  let readonly_stores =
+    sum (fun s ->
+        Array.fold_left
+          (fun a (r : Corpus.replica_health) -> if r.rh_readonly then a + 1 else a)
+          0 s.h_replicas)
   in
-  (Protocol.Ok_, String.concat "\n" lines, `Ok)
+  [
+    Printf.sprintf "shards: %d/%d" (sum (fun s -> Bool.to_int s.h_live)) (Array.length h);
+    "generation_vector: " ^ Corpus.generation_vector c;
+    Printf.sprintf "corpus_docs: %d" (sum (fun s -> s.h_docs));
+    Printf.sprintf "delta_docs: %d" (sum (fun s -> s.h_unmerged));
+    Printf.sprintf "wal_bytes: %d" (sum (fun s -> s.h_wal_bytes));
+    Printf.sprintf "staleness_ms: %.0f"
+      (Array.fold_left (fun a (s : Corpus.shard_health) -> Float.max a s.h_staleness_ms) 0.0 h);
+    Printf.sprintf "wal_replayed_records: %d" (sum (fun s -> s.h_replayed));
+    Printf.sprintf "readonly: %s" (if readonly_stores > 0 then "yes" else "no");
+  ]
+  @ (if readonly_stores > 0 then [ Printf.sprintf "readonly_stores: %d" readonly_stores ]
+     else [])
+  @ health_lines h
 
 (* The write lane: admission control for the write class (the corpus
    serializes actual writers per shard itself).  Past the lane depth a
@@ -789,22 +763,22 @@ let dispatch t handle (req : Protocol.request) parsed ~body =
             match req with
             | Protocol.Ping -> (Metrics.Ping, (Protocol.Ok_, "pong", `Ok))
             | Protocol.Stats ->
-              let slot = Atomic.get t.current in
-              let cache, ingest, shards =
+              let cache, data =
                 match t.corpus with
                 | Some crt ->
                   ( Option.map (fun _ -> Corpus.cache_counters crt.corpus) t.cfg.cache_mb,
-                    Some (corpus_ingest_gauges crt.corpus),
-                    corpus_shard_gauges crt.corpus )
-                | None -> (Option.map Flexpath.Qcache.counters slot.cache, None, [])
+                    Metrics.Corpus (corpus_stats_lines crt.corpus) )
+                | None ->
+                  let slot = Atomic.get t.current in
+                  ( Option.map Flexpath.Qcache.counters slot.cache,
+                    Metrics.Snapshot { generation = slot.generation } )
               in
               ( Metrics.Stats,
                 ( Protocol.Ok_,
                   Metrics.render t.metrics ~loop:(loop_gauges t)
                     ~queue_depth:(Admission.length t.queue)
-                    ~queue_capacity:(Admission.capacity t.queue)
-                    ~generation:slot.generation ~uptime_s:(uptime_s t) ~cache ~ingest ~shards
-                    (),
+                    ~queue_capacity:(Admission.capacity t.queue) ~uptime_s:(uptime_s t) ~cache
+                    ~data (),
                   `Ok ) )
             | Protocol.Shards -> (
               ( Metrics.Shards,

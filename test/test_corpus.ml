@@ -502,6 +502,13 @@ let test_all_shards_down () =
 
 let replica_of c ~ord ~idx = (Corpus.health c).(ord).Corpus.h_replicas.(idx)
 
+(* [Some retry_after_ms] while shard [ord]'s primary is inside its
+   read-only probation, read off the shard's health. *)
+let readonly_hint c ord =
+  Array.to_list (Corpus.health c).(ord).Corpus.h_replicas
+  |> List.find_map (fun (r : Corpus.replica_health) ->
+         if r.rh_role = Corpus.Primary && r.rh_readonly then Some r.rh_readonly_retry_ms else None)
+
 let must = function Ok () -> () | Error m -> Alcotest.fail m
 
 let test_replicated_equals_plain () =
@@ -752,7 +759,7 @@ let test_disk_fault_readonly_degrade () =
             check_int "exit code" 7 (Error.exit_code e)
           | Error e -> Alcotest.failf "expected Readonly, got %s" (Error.to_string e)
           | Ok _ -> Alcotest.fail "degraded store must refuse writes");
-          check_bool "hint surfaced" true (Corpus.readonly_hint c 0 <> None);
+          check_bool "hint surfaced" true (readonly_hint c 0 <> None);
           check_bool "health flag" true (replica_of c ~ord:0 ~idx:0).Corpus.rh_readonly;
           (* reads keep serving the acked corpus *)
           let r =
@@ -764,7 +771,7 @@ let test_disk_fault_readonly_degrade () =
              the healthy disk clears the degrade *)
           Unix.sleepf 0.4;
           ignore (ok_exn "re-probe write" (Corpus.ingest c ~id:"b" (Xml.to_string (article 2))));
-          check_bool "degrade cleared" true (Corpus.readonly_hint c 0 = None);
+          check_bool "degrade cleared" true (readonly_hint c 0 = None);
           check_bool "health cleared" false (replica_of c ~ord:0 ~idx:0).Corpus.rh_readonly;
           (* EIO on the snapshot-publishing rename during a merge arms
              the same degrade; a post-probation merge recovers *)
@@ -779,7 +786,7 @@ let test_disk_fault_readonly_degrade () =
           | Ok _ -> Alcotest.fail "degraded store must refuse writes");
           Unix.sleepf 0.4;
           ok_exn "recovered merge" (Corpus.merge c 0);
-          check_bool "cleared after merge" true (Corpus.readonly_hint c 0 = None)))
+          check_bool "cleared after merge" true (readonly_hint c 0 = None)))
 
 (* ------------------------------------------------------------------ *)
 (* Budget and cache *)

@@ -51,6 +51,15 @@ let has_infix ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
+(* The value of STATS's [key: value] line, if it has one. *)
+let stats_value body key =
+  let prefix = key ^ ": " in
+  String.split_on_char '\n' body
+  |> List.find_map (fun l ->
+         if has_prefix ~prefix l then
+           Some (String.sub l (String.length prefix) (String.length l - String.length prefix))
+         else None)
+
 let make_env ?(seed = 7) ?(count = 30) () = Env.make (Xmark.Articles.doc ~seed ~count ())
 
 let save_snapshot env =
@@ -1036,14 +1045,14 @@ let test_ingest_wire () =
           let status, body = request_exn c "DELETE nope" in
           check_string "unknown id is ERR" "ERR" (Protocol.status_to_string status);
           check_bool "delete error names the id" true (has_infix ~affix:"nope" body);
-          (* STATS gauges (satellite: generation, staleness_ms,
-             wal_replayed_records). *)
+          (* STATS gauges: the generation vector, staleness_ms and
+             wal_replayed_records. *)
           let _, body = request_exn c "STATS" in
           List.iter
             (fun needle ->
               check_bool (Printf.sprintf "stats has %s" needle) true (has_infix ~affix:needle body))
             [
-              "generation: ";
+              "generation_vector: ";
               "staleness_ms: ";
               "wal_replayed_records: 0";
               "delta_docs: 4";
@@ -1349,7 +1358,7 @@ let test_ingest_chaos_soak () =
           let corpus = Option.get (Server.corpus srv) in
           let monitor () =
             while running () do
-              let s = Corpus.staleness_ms corpus 0 in
+              let s = (Corpus.health corpus).(0).Corpus.h_staleness_ms in
               if s > Atomic.get max_staleness then Atomic.set max_staleness s;
               Unix.sleepf 0.05
             done
@@ -1373,7 +1382,8 @@ let test_ingest_chaos_soak () =
           let status, _ = request_exn c "MERGE" in
           check_string "quiescing merge" "OK" (Protocol.status_to_string status);
           check_int "no deltas after the quiescing merge" 0 (Corpus.merge_backlog corpus 0);
-          check_bool "staleness returns to zero" true (Corpus.staleness_ms corpus 0 = 0.0);
+          check_bool "staleness returns to zero" true
+            ((Corpus.health corpus).(0).Corpus.h_staleness_ms = 0.0);
           (* Staleness stayed bounded while the merge domain was under
              fault injection: well under the soak length, and within a
              modest multiple of the merge interval + the write burst. *)
@@ -1708,11 +1718,28 @@ let test_replica_wire () =
         (fun srv ->
           Fun.protect ~finally:Failpoint.reset (fun () ->
               let c = connect (Server.port srv) in
+              let corpus = Option.get (Server.corpus srv) in
+              let last_ack = ref "" in
               for i = 0 to 5 do
                 let id = Printf.sprintf "w%d" i in
-                let status, _ = request_ingest_exn c ~id (shard_article i) in
-                check_string "ingest acked" "OK" (Protocol.status_to_string status)
+                let status, body = request_ingest_exn c ~id (shard_article i) in
+                check_string "ingest acked" "OK" (Protocol.status_to_string status);
+                last_ack := body
               done;
+              (* STATS reports the corpus's own generation vector — the
+                 one every ack names and every cache key is scoped by —
+                 and no read-only slot generation. *)
+              let _, body = request_exn c "STATS" in
+              let ack_vector =
+                Scanf.sscanf !last_ack "ingested %_s@; shard %_d; generations %s" Fun.id
+              in
+              check_string "STATS's vector is the last ack's" ack_vector
+                (Option.value ~default:"" (stats_value body "generation_vector"));
+              check_string "STATS's vector is the corpus's" (Corpus.generation_vector corpus)
+                (Option.value ~default:"" (stats_value body "generation_vector"));
+              check_bool "no slot generation" true (stats_value body "generation" = None);
+              check_bool "no snapshot generation" true
+                (stats_value body "snapshot_generation" = None);
               (* SHARDS: each shard line is followed by per-replica lines
                  with role, sync state and read-only flag. *)
               let _, body = request_exn c "SHARDS" in
@@ -1735,10 +1762,34 @@ let test_replica_wire () =
                     (Printf.sprintf "STATS has %s" needle)
                     true (has_infix ~affix:needle body))
                 [
-                  "shard 0 replica 0: primary synced";
-                  "shard 0 replica 1: follower synced";
+                  "replica 0.0: primary synced";
+                  "replica 0.1: follower synced";
                   "readonly: no";
                 ];
+              (* RELOAD 0 bumps shard 0's replicas; STATS follows the
+                 reply's vector.  Once MERGE has folded every WAL the
+                 health is quiescent, and STATS's shard section is the
+                 SHARDS body line for line. *)
+              let status, body = request_exn c "RELOAD 0" in
+              check_string "shard reload ok" "OK" (Protocol.status_to_string status);
+              let reload_vector =
+                Scanf.sscanf body "reloaded shard(s) %_s@; generations %s" Fun.id
+              in
+              let _, stats = request_exn c "STATS" in
+              check_string "STATS's vector is the RELOAD reply's" reload_vector
+                (Option.value ~default:"" (stats_value stats "generation_vector"));
+              let status, _ = request_exn c "MERGE" in
+              check_string "merge ok" "OK" (Protocol.status_to_string status);
+              let _, shards = request_exn c "SHARDS" in
+              let _, stats = request_exn c "STATS" in
+              Alcotest.(check (list string))
+                "STATS's shard section is the SHARDS body"
+                (String.split_on_char '\n' shards)
+                (String.split_on_char '\n' stats
+                |> List.filter (fun l ->
+                       has_prefix ~prefix:"shard " l || has_prefix ~prefix:"  replica " l));
+              check_string "STATS's vector is still the corpus's" (Corpus.generation_vector corpus)
+                (Option.value ~default:"" (stats_value stats "generation_vector"));
               (* RELOAD <ord>.<replica> addresses one replica (the
                  catch-up path); a bad replica ordinal is refused. *)
               let status, body = request_exn c "RELOAD 0.1" in
