@@ -976,6 +976,14 @@ let client_cmd =
 module Loadgen = Flexpath_loadgen.Loadgen
 module Ljson = Flexpath_loadgen.Json
 
+(* Remove a directory that holds only files (a store's snapshot and
+   WAL); best effort. *)
+let remove_flat_dir dir =
+  try
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  with Sys_error _ -> ()
+
 let bench_serve_cmd =
   let scales_arg =
     Arg.(
@@ -1100,70 +1108,73 @@ let bench_serve_cmd =
         let with_target f =
           match port with
           | Some p -> f p
-          | None -> (
-            (* In-process server over a synthetic article corpus. *)
-            let build =
-              if ingest_frac <= 0.0 then
-                Result.map
-                  (fun env -> (env, None, None))
-                  (Flexpath.Env.build ~weights:Relax.Weights.uniform
-                     ~hierarchy:Tpq.Hierarchy.empty
-                     (Xmark.Articles.doc ~count:articles ()))
-              else begin
-                (* Live ingestion serves the corpus's own documents, so
-                   seed it: build an ingest corpus from the article trees
-                   and persist it as the snapshot its one shard will
-                   load. *)
-                let article_trees =
-                  List.filter
-                    (fun t -> Xmldom.Xml.tag t = Some "article")
-                    (Xmldom.Xml.children (Xmark.Articles.collection ~count:articles ()))
-                in
-                let docs =
-                  List.mapi (fun i t -> (Printf.sprintf "article%d" i, t)) article_trees
-                in
-                let dir =
-                  Filename.concat (Filename.get_temp_dir_name ())
-                    (Printf.sprintf "flexpath-bench-%d" (Unix.getpid ()))
-                in
-                (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-                let prefix = Filename.concat dir "corpus" in
-                Result.bind (Flexpath.Ingest.of_docs docs) (fun corpus ->
-                    let env = Flexpath.Ingest.env corpus in
-                    Result.map
-                      (fun () -> (env, Some prefix, Some Server.ingest_defaults))
-                      (Flexpath.Storage.save env (prefix ^ ".shard0")))
-              end
+          | None ->
+            (* In-process server over a synthetic article corpus.  A
+               writable one serves a store seeded in a fresh directory,
+               removed once the server has stopped. *)
+            let store_dir =
+              if ingest_frac <= 0.0 then None else Some (Filename.temp_dir "flexpath-bench-" "")
             in
-            match build with
-            | Error e ->
-              Printf.eprintf "error: %s\n" (Error.to_string e);
-              Error.exit_code e
-            | Ok (env, snapshot, ingest) -> (
-              let cfg =
-                {
-                  Server.default_config with
-                  host;
-                  port = 0;
-                  workers;
-                  queue_depth;
-                  max_connections = top + 64;
-                  read_timeout_s = 120.0;
-                  snapshot;
-                  ingest;
-                }
-              in
-              match Server.create cfg ~env with
-              | Error e ->
-                Printf.eprintf "error: %s\n" (Error.to_string e);
-                Error.exit_code e
-              | Ok srv ->
-                let d = Domain.spawn (fun () -> Server.serve srv) in
-                Fun.protect
-                  ~finally:(fun () ->
-                    Server.stop srv;
-                    Domain.join d)
-                  (fun () -> f (Server.port srv))))
+            Fun.protect
+              ~finally:(fun () -> Option.iter remove_flat_dir store_dir)
+              (fun () ->
+                let build =
+                  match store_dir with
+                  | None ->
+                    Result.map
+                      (fun env -> (env, None, None))
+                      (Flexpath.Env.build ~weights:Relax.Weights.uniform
+                         ~hierarchy:Tpq.Hierarchy.empty
+                         (Xmark.Articles.doc ~count:articles ()))
+                  | Some dir ->
+                    (* Live ingestion serves the corpus's own documents, so
+                       seed it: build an ingest corpus from the article trees
+                       and persist it as the snapshot its one shard will
+                       load. *)
+                    let article_trees =
+                      List.filter
+                        (fun t -> Xmldom.Xml.tag t = Some "article")
+                        (Xmldom.Xml.children (Xmark.Articles.collection ~count:articles ()))
+                    in
+                    let docs =
+                      List.mapi (fun i t -> (Printf.sprintf "article%d" i, t)) article_trees
+                    in
+                    let prefix = Filename.concat dir "corpus" in
+                    Result.bind (Flexpath.Ingest.of_docs docs) (fun corpus ->
+                        let env = Flexpath.Ingest.env corpus in
+                        Result.map
+                          (fun () -> (env, Some prefix, Some Server.ingest_defaults))
+                          (Flexpath.Storage.save env (prefix ^ ".shard0")))
+                in
+                match build with
+                | Error e ->
+                  Printf.eprintf "error: %s\n" (Error.to_string e);
+                  Error.exit_code e
+                | Ok (env, snapshot, ingest) -> (
+                  let cfg =
+                    {
+                      Server.default_config with
+                      host;
+                      port = 0;
+                      workers;
+                      queue_depth;
+                      max_connections = top + 64;
+                      read_timeout_s = 120.0;
+                      snapshot;
+                      ingest;
+                    }
+                  in
+                  match Server.create cfg ~env with
+                  | Error e ->
+                    Printf.eprintf "error: %s\n" (Error.to_string e);
+                    Error.exit_code e
+                  | Ok srv ->
+                    let d = Domain.spawn (fun () -> Server.serve srv) in
+                    Fun.protect
+                      ~finally:(fun () ->
+                        Server.stop srv;
+                        Domain.join d)
+                      (fun () -> f (Server.port srv))))
         in
         with_target (fun bound_port ->
             Printf.eprintf "bench serve: %s:%d, %.0f req/s offered, scales %s\n%!" host bound_port

@@ -68,11 +68,6 @@ let truncation_bound scheme penv last_completed =
   | Some entry -> Float.min (max_total scheme penv) (unseen_bound scheme penv entry)
   | None -> max_total scheme penv
 
-let evaluate ?metrics ?cancel ?executor env penv orig ops strategy =
-  let enc = Joins.Encoded.of_ops_exn ~hierarchy:(Relax.Penalty.hierarchy penv) orig ops in
-  Joins.Exec.run ?metrics ?cancel ?executor (Env.exec_env env penv) enc strategy
-  |> List.map Answer.of_exec
-
 (* ------------------------------------------------------------------ *)
 (* Reusable evaluation plans.
 

@@ -75,22 +75,6 @@ val truncation_bound :
     the last fully completed chain entry, or {!max_total} when not even
     the original query's pass finished. *)
 
-val evaluate :
-  ?metrics:Joins.Exec.metrics ->
-  ?cancel:(int -> bool) ->
-  ?executor:Joins.Exec.executor ->
-  Env.t ->
-  Relax.Penalty.t ->
-  Tpq.Query.t ->
-  Relax.Op.t list ->
-  Joins.Exec.strategy ->
-  Answer.t list
-(** Evaluate the query obtained by applying [ops] to the original,
-    scored against the original's closure.  [cancel] and [executor]
-    (physical operator selection, default [Auto]) are threaded to
-    {!Joins.Exec.run}; when [cancel] aborts, {!Joins.Exec.Cancelled}
-    escapes to the calling algorithm. *)
-
 (** {2 Reusable evaluation plans}
 
     Everything about an evaluation that depends only on the query's
@@ -134,5 +118,9 @@ val evaluate_entry :
   int ->
   Joins.Exec.strategy ->
   Answer.t list
-(** {!evaluate} through the plan's cached encodings: evaluate chain
-    entry [i] against [env], scored on the plan's closure. *)
+(** Evaluate chain entry [i] — the original query with the entry's
+    operators applied — against [env] through the plan's cached
+    encodings, scored on the plan's closure.  [cancel] and [executor]
+    (physical operator selection, default [Auto]) are threaded to
+    {!Joins.Exec.run}; when [cancel] aborts, {!Joins.Exec.Cancelled}
+    escapes to the calling algorithm. *)

@@ -80,7 +80,7 @@ let route ~shards id = fnv1a id mod shards
    an acked record (failed ship, disk fault, or it has not finished
    async drain/catch-up); it keeps serving nothing until it converges
    back to the primary's acked set, because an out-of-sync replica's
-   node ids may not match the published spans. *)
+   node ids may not match the published column. *)
 type replica = {
   rep_idx : int;
   rep_snapshot_path : string;
@@ -104,7 +104,7 @@ type shard = {
 (* A replica that can serve right now: live, unquarantined, in sync
    and with no queued-but-unapplied ships — i.e. value-identical to
    the primary's acked corpus, so any of them can serve a probe
-   against the published spans. *)
+   against the published column. *)
 let replica_usable r =
   r.rep_store <> None && (not r.rep_quarantined) && r.rep_synced && r.rep_pending = []
 
@@ -116,25 +116,21 @@ let primary_of s = Array.to_seq s.replicas |> Seq.find replica_usable
 (* Query-usable replicas, primary first. *)
 let usable_replicas s = Array.to_list s.replicas |> List.filter replica_usable
 
-(* One ingested document inside a shard view: its wrapper element, its
-   subtree span, and the pre-order id its wrapper would have in the
-   single combined corpus ([d_base], assigned from the corpus-level
-   arrival order).  [d_base] is what makes cross-shard tie-breaks —
-   and therefore merged output — identical to the unsharded corpus. *)
-type doc_span = {
-  d_id : string;
-  d_wrapper : int;
-  d_end : int;  (* one past the last pre-order id of the wrapper subtree *)
-  mutable d_base : int;
-}
-
 type shard_view = {
   sv_ord : int;
   sv_replicas : (int * Env.t) array;
       (* (replica index, scoring view) for every in-sync live replica,
          primary first — the probe's failover order.  Empty when the
          whole replica set is down. *)
-  sv_spans : doc_span array;  (* ascending by wrapper id *)
+  sv_docs : Ingest.corpus;
+      (* the primary's corpus (the empty corpus while the set is down):
+         its document-boundary column maps answers to documents, and
+         every usable replica is value-identical to it *)
+  sv_bases : int array;
+      (* per column row, the pre-order id the document's first node has
+         in the single combined corpus, assigned from the corpus-level
+         arrival order — what makes cross-shard tie-breaks, and
+         therefore merged output, identical to the unsharded corpus *)
   sv_error : string option;
 }
 
@@ -143,7 +139,9 @@ type view = {
   v_gen_vector : string;
       (* one component per shard, "<generation>" or "<generation>!"
          when down/quarantined — the full cache-key scope *)
-  v_planner : Env.t option;  (* any live scoring env; plans built here serve every shard *)
+  v_planner : Env.t;
+      (* any live scoring env, or the empty corpus's when every shard is
+         down; plans built here serve every shard *)
 }
 
 type t = {
@@ -157,7 +155,7 @@ type t = {
   ack_mode : ack_mode;
   view : view Atomic.t;
   cache : Qcache.t option;  (* [None]: no lookups, no stores *)
-  fallback_env : Env.t;  (* empty corpus env: bounds when every shard is down *)
+  empty : Ingest.corpus;  (* what a down shard's view and an all-down planner read *)
   pool : Taskpool.t option;
       (* probe parallelism for the scatter; [None] keeps the original
          strictly sequential per-shard fold *)
@@ -181,29 +179,24 @@ let shard_of_id t id = route ~shards:(Array.length t.shards) id
    published view with one [Atomic.get] and never block. *)
 
 let publish t =
+  let corpus_of r = Ingest.store_corpus (Option.get r.rep_store) in
   (* Corpus-global statistics merge one env per shard — the primary's.
      In-sync followers are value-identical copies; folding them in too
-     would double-count every document. *)
-  let live_envs =
-    Array.to_list t.shards
-    |> List.filter_map (fun s ->
-           match primary_of s with
-           | Some r -> Option.map Ingest.store_env r.rep_store
-           | None -> None)
+     would double-count every document.  Forced only when some shard is
+     live. *)
+  let scoring =
+    lazy
+      (let live =
+         Array.to_list t.shards
+         |> List.filter_map (fun s -> Option.map (fun r -> Ingest.env (corpus_of r)) (primary_of s))
+       in
+       let merged = Stats.merged (List.map (fun (e : Env.t) -> e.Env.stats) live) in
+       let ov = Fulltext.Index.overlay_of (List.map (fun (e : Env.t) -> e.Env.index) live) in
+       fun (e : Env.t) ->
+         { e with Env.index = Fulltext.Index.with_overlay e.Env.index ov; stats = merged })
   in
-  let scoring_of =
-    match live_envs with
-    | [] -> fun _ -> None
-    | _ ->
-      let merged =
-        Stats.merged ~root_tag:Ingest.corpus_tag
-          (List.map (fun (e : Env.t) -> e.Env.stats) live_envs)
-      in
-      let ov = Fulltext.Index.overlay_of (List.map (fun (e : Env.t) -> e.Env.index) live_envs) in
-      fun (e : Env.t) ->
-        Some { e with Env.index = Fulltext.Index.with_overlay e.Env.index ov; stats = merged }
-  in
-  let span_tbl : (string, doc_span) Hashtbl.t = Hashtbl.create 64 in
+  let rows : (string, int array * int * int) Hashtbl.t = Hashtbl.create 64 in
+  let prefix = ref 0 in
   let shard_views =
     Array.map
       (fun s ->
@@ -217,47 +210,36 @@ let publish t =
             | Some e -> Some e
             | None -> Some (if any_quarantined then "quarantined" else "down")
           in
-          { sv_ord = s.ord; sv_replicas = [||]; sv_spans = [||]; sv_error = err }
+          { sv_ord = s.ord; sv_replicas = [||]; sv_docs = t.empty; sv_bases = [||]; sv_error = err }
         | prim :: _ as usable ->
-          (* Spans come from the primary's doc; every usable replica is
-             value-identical, so the same spans map any of their node
-             ids into the combined corpus. *)
-          let env = Ingest.store_env (Option.get prim.rep_store) in
-          let doc = env.Env.doc in
-          let spans =
-            Xmldom.Doc.children doc (Xmldom.Doc.root doc)
-            |> List.filter_map (fun w ->
-                   match Xmldom.Doc.attribute doc w "id" with
-                   | Some id ->
-                     let sp =
-                       { d_id = id; d_wrapper = w; d_end = Xmldom.Doc.subtree_end doc w; d_base = 0 }
-                     in
-                     Hashtbl.replace span_tbl id sp;
-                     Some sp
-                   | None -> None)
-            |> Array.of_list
-          in
+          let docs = corpus_of prim in
+          let spans = Ingest.spans docs in
+          let bases = Array.make (Array.length spans) 0 in
+          Array.iteri
+            (fun i (sp : Ingest.span) -> Hashtbl.replace rows sp.id (bases, i, sp.stop - sp.first))
+            spans;
+          if Array.length spans > 0 then prefix := spans.(0).first;
           let sv_replicas =
             usable
-            |> List.filter_map (fun r ->
-                   let e = Ingest.store_env (Option.get r.rep_store) in
-                   Option.map (fun senv -> (r.rep_idx, senv)) (scoring_of e))
+            |> List.map (fun r -> (r.rep_idx, Lazy.force scoring (Ingest.env (corpus_of r))))
             |> Array.of_list
           in
-          { sv_ord = s.ord; sv_replicas; sv_spans = spans; sv_error = None })
+          { sv_ord = s.ord; sv_replicas; sv_docs = docs; sv_bases = bases; sv_error = None })
       t.shards
   in
-  (* Global wrapper bases follow the corpus-level arrival order, so a
-     node's mapped id equals its pre-order id in the single combined
-     document; ids living on down shards are skipped (their absence is
-     exactly what [Partial] reports). *)
-  let base = ref 1 in
+  (* Global bases follow the corpus-level arrival order, so a node's
+     mapped id equals its pre-order id in the single combined document.
+     Every shard's documents follow the same prefix (the nodes before
+     the first document), so numbering starts where any shard's first
+     document does.  Ids living on down shards are skipped (their
+     absence is exactly what [Partial] reports). *)
+  let next = ref !prefix in
   List.iter
     (fun id ->
-      match Hashtbl.find_opt span_tbl id with
-      | Some sp ->
-        sp.d_base <- !base;
-        base := !base + (sp.d_end - sp.d_wrapper)
+      match Hashtbl.find_opt rows id with
+      | Some (bases, i, size) ->
+        bases.(i) <- !next;
+        next := !next + size
       | None -> ())
     t.order;
   let gen_vector =
@@ -275,14 +257,16 @@ let publish t =
     |> Array.to_list |> String.concat "."
   in
   let planner =
-    Array.fold_left
-      (fun acc sv ->
-        match acc with
-        | Some _ -> acc
-        | None -> if Array.length sv.sv_replicas > 0 then Some (snd sv.sv_replicas.(0)) else None)
-      None shard_views
+    match Array.find_opt (fun sv -> Array.length sv.sv_replicas > 0) shard_views with
+    | Some sv -> snd sv.sv_replicas.(0)
+    | None -> Ingest.env t.empty
   in
-  Atomic.set t.view { v_shards = shard_views; v_gen_vector = gen_vector; v_planner = planner }
+  Atomic.set t.view { v_shards = shard_views; v_gen_vector = gen_vector; v_planner = planner };
+  (* A write leaves the young heap holding its garbage.  Collecting it
+     here charges the collection to the write; otherwise the first
+     query on the new view pays it (DESIGN.md §4i, "Who pays for a
+     write's garbage"). *)
+  Gc.minor ()
 
 let generation_vector t = (Atomic.get t.view).v_gen_vector
 
@@ -307,7 +291,8 @@ let replica_paths ~prefix i j =
    every replica recovered its own snapshot+WAL; a follower whose
    recovered ids differ from the primary's missed acked records while
    it was away (or tore its WAL) and must catch up before serving. *)
-let synced_with_primary ~prim_ids st = List.equal String.equal prim_ids (Ingest.store_ids st)
+let store_ids st = Ingest.ids (Ingest.store_corpus st)
+let synced_with_primary ~prim_ids st = List.equal String.equal prim_ids (store_ids st)
 
 (* Settle who is in sync after replicas recovered from their own
    files: at open, and under [reg_lock] after a reload.  The recovery
@@ -324,7 +309,7 @@ let settle_sync replicas =
     Array.to_list replicas
     |> List.filter_map (fun r ->
            match r.rep_store with
-           | Some st when not r.rep_quarantined -> Some (r, Ingest.store_ids st)
+           | Some st when not r.rep_quarantined -> Some (r, store_ids st)
            | _ -> None)
   in
   let reference =
@@ -353,9 +338,9 @@ let open_corpus ?weights ?hierarchy ?limits
       (Error.Config_error
          { what = "replicas"; message = Printf.sprintf "replica count %d outside 1..8" replicas })
   else
-    match Result.map Ingest.env (Ingest.empty ?weights ?hierarchy ()) with
+    match Ingest.empty ?weights ?hierarchy () with
     | Error e -> Error e
-    | Ok fallback_env ->
+    | Ok empty ->
       let reopen ~snapshot ~wal =
         Ingest.open_store ?weights ?hierarchy ?limits ?probation_ms ~snapshot ~wal ()
       in
@@ -395,7 +380,7 @@ let open_corpus ?weights ?hierarchy ?limits
         Array.to_list shard_arr
         |> List.concat_map (fun s ->
                match primary_of s with
-               | Some r -> Ingest.store_ids (Option.get r.rep_store)
+               | Some r -> store_ids (Option.get r.rep_store)
                | None -> [])
       in
       let t =
@@ -406,9 +391,9 @@ let open_corpus ?weights ?hierarchy ?limits
           next_auto = auto_seed order;
           strike_threshold;
           ack_mode;
-          view = Atomic.make { v_shards = [||]; v_gen_vector = ""; v_planner = None };
+          view = Atomic.make { v_shards = [||]; v_gen_vector = ""; v_planner = Ingest.env empty };
           cache = Option.map (fun mb -> Qcache.create ~max_bytes:(mb * 1024 * 1024) ()) cache_mb;
-          fallback_env;
+          empty;
           pool =
             (* A pool only helps when more than one shard can be probed
                at once; below that the sequential fold is strictly
@@ -677,7 +662,7 @@ let catchup_replica t prim rep =
     let* () = copy_file prim.rep_snapshot_path rep.rep_snapshot_path in
     let* () = copy_file prim.rep_wal_path rep.rep_wal_path in
     let* st = t.reopen ~snapshot:rep.rep_snapshot_path ~wal:rep.rep_wal_path in
-    if synced_with_primary ~prim_ids:(Ingest.store_ids prim_st) st then Ok st
+    if synced_with_primary ~prim_ids:(store_ids prim_st) st then Ok st
     else begin
       Ingest.close st;
       Error
@@ -839,7 +824,7 @@ let health t =
             let docs, unmerged, staleness, wal_bytes, replayed, ro, ro_retry =
               match r.rep_store with
               | Some st ->
-                ( Ingest.doc_count st,
+                ( Ingest.doc_count (Ingest.store_corpus st),
                   Ingest.unmerged_records st,
                   Ingest.staleness_ms st,
                   Ingest.wal_bytes st,
@@ -896,17 +881,16 @@ let doc_count t =
   Array.fold_left
     (fun acc s ->
       match primary_of s with
-      | Some r -> acc + Ingest.doc_count (Option.get r.rep_store)
+      | Some r -> acc + Ingest.doc_count (Ingest.store_corpus (Option.get r.rep_store))
       | None -> acc)
     0 t.shards
 
 let ids t = t.order
 
 (* The merged scoring view (any live shard's env: corpus-global stats
-   and index), or the empty fallback when every shard is down.  RELAX
+   and index), or the empty corpus's when every shard is down.  RELAX
    on a sharded server introspects penalty chains against this. *)
-let scoring_env t =
-  match (Atomic.get t.view).v_planner with Some e -> e | None -> t.fallback_env
+let scoring_env t = (Atomic.get t.view).v_planner
 
 (* Write-lane backpressure: the worst backlog across the replica set —
    unmerged WAL records plus any async ship queue — because an acked
@@ -932,7 +916,7 @@ type completeness = Complete | Partial of { reason : string; score_bound : float
 
 type answer = {
   a_doc : string;  (* document id; [""] only for the synthetic corpus root *)
-  a_path : string;  (* doc-relative path, [""] when the answer is the wrapper itself *)
+  a_path : string;  (* doc-relative path ({!Ingest.locate}) *)
   a_node : int;  (* pre-order id in the combined corpus — the tie-break key *)
   a_sscore : float;
   a_kscore : float;
@@ -989,27 +973,14 @@ let cacheable r =
   (match r.completeness with Complete -> true | Partial _ -> false)
   && (not r.degraded) && r.served = r.total
 
-let find_span spans node =
-  let lo = ref 0 and hi = ref (Array.length spans - 1) in
-  let found = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    if spans.(mid).d_wrapper <= node then begin
-      found := Some spans.(mid);
-      lo := mid + 1
-    end
-    else hi := mid - 1
-  done;
-  match !found with Some sp when node < sp.d_end -> Some sp | _ -> None
-
-(* "fx-corpus[1]/fx-doc[k]/section[2]/p[1]" -> "section[2]/p[1]" *)
-let doc_relative full =
-  match String.index_opt full '/' with
-  | None -> ""
-  | Some i -> (
-    match String.index_from_opt full (i + 1) '/' with
-    | None -> ""
-    | Some j -> String.sub full (j + 1) (String.length full - j - 1))
+(* A shard-local node id in the combined corpus's pre-order: a
+   document's nodes keep their offset from its first node and move to
+   its global base; nodes before the first document (the shared root)
+   keep their id. *)
+let global_id sv node =
+  match Ingest.find sv.sv_docs node with
+  | Some i -> sv.sv_bases.(i) + (node - (Ingest.spans sv.sv_docs).(i).first)
+  | None -> node
 
 let run_algo algorithm ~guard ~plan ~floor ~executor env ~scheme ~k q =
   match algorithm with
@@ -1045,272 +1016,235 @@ let query t ?budget ?(algorithm = Hybrid) ?(scheme = Ranking.Structure_first) ?(
   | Some _ | None -> (
     let total = Array.length v.v_shards in
     let guard = match budget with None -> Guard.none | Some b -> Guard.start b in
-    match v.v_planner with
-    | None ->
-      (* Every shard is down: vacuously sound — no answers, and no
-         answer anywhere could exceed the data-independent maximum. *)
-      let penv = Env.penalty_env t.fallback_env q in
-      let mt = Common.max_total scheme penv in
-      Ok
-        {
-          answers = [];
-          served = 0;
-          total;
-          completeness = Partial { reason = "shard-loss"; score_bound = mt };
-          degraded = false;
-          reports =
-            Array.to_list v.v_shards
-            |> List.map (fun sv ->
-                   {
-                     r_ord = sv.sv_ord;
-                     r_replica = -1;
-                     r_status = Down (Option.value sv.sv_error ~default:"down");
-                     r_bound = mt;
-                     r_found = 0;
-                   });
-          failovers = 0;
-          relaxations_evaluated = 0;
-          passes = 0;
-          restarts = 0;
-          tuples_produced = 0;
-        }
-    | Some planner -> (
-      let eval () =
-        let plan =
-          match Option.bind cache (fun c -> Qcache.find_plan c (Lazy.force pk)) with
-          | Some p -> p
-          | None ->
-            let p = Common.build_plan planner q in
-            Option.iter (fun c -> Qcache.store_plan c (Lazy.force pk) p) cache;
-            p
-        in
-        let mt = Common.max_total scheme plan.Common.penv in
-        let locations : (int, string * string) Hashtbl.t = Hashtbl.create 32 in
-        let best = ref [] in
-        let degraded = ref false in
-        let relax = ref 0 and passes = ref 0 and restarts = ref 0 and tuples = ref 0 in
-        let failovers = ref 0 in
-        let meta_dirty = ref false in
-        (* The scatter runs the probes on the corpus's domain pool when
-           one was opened (DESIGN.md §4j); every piece of gather state
-           — [best], [locations], the counters — then lives under
-           [glock], and the floor each probe reads is the running
-           global K-th under that same lock.  The floor is a sound
-           monotone cutoff, so a probe that reads a momentarily stale
-           (lower) floor merely prunes less; the merged top-K stays
-           byte-identical to the sequential gather on healthy runs.
-           Without a pool [locked] is a direct call and the fold below
-           is the original strictly sequential scatter. *)
-        let glock = Mutex.create () in
-        let locked : 'a. (unit -> 'a) -> 'a =
-         fun f -> match t.pool with None -> f () | Some _ -> with_lock glock f
-        in
-        let floor_fn () =
-          locked (fun () ->
-              match Common.kth_total scheme k !best with Some x -> x | None -> neg_infinity)
-        in
-        let probe sv =
-          if Array.length sv.sv_replicas = 0 then
+    let eval () =
+      (* With every shard down the planner is the empty corpus's env:
+         each probe then reports [Down] under the same data-independent
+         [max_total] bound, and an over-capacity query is refused as on
+         a healthy corpus. *)
+      let plan =
+        match Option.bind cache (fun c -> Qcache.find_plan c (Lazy.force pk)) with
+        | Some p -> p
+        | None ->
+          let p = Common.build_plan v.v_planner q in
+          Option.iter (fun c -> Qcache.store_plan c (Lazy.force pk) p) cache;
+          p
+      in
+      let mt = Common.max_total scheme plan.Common.penv in
+      (* Global node id -> (shard corpus, local id), for rendering the
+         answers that survive the gather. *)
+      let origins : (int, Ingest.corpus * int) Hashtbl.t = Hashtbl.create 32 in
+      let best = ref [] in
+      let degraded = ref false in
+      let relax = ref 0 and passes = ref 0 and restarts = ref 0 and tuples = ref 0 in
+      let failovers = ref 0 in
+      let meta_dirty = ref false in
+      (* The scatter runs the probes on the corpus's domain pool when
+         one was opened (DESIGN.md §4j); every piece of gather state
+         — [best], [origins], the counters — then lives under
+         [glock], and the floor each probe reads is the running
+         global K-th under that same lock.  The floor is a sound
+         monotone cutoff, so a probe that reads a momentarily stale
+         (lower) floor merely prunes less; the merged top-K stays
+         byte-identical to the sequential gather on healthy runs.
+         Without a pool [locked] is a direct call and the fold below
+         is the original strictly sequential scatter. *)
+      let glock = Mutex.create () in
+      let locked : 'a. (unit -> 'a) -> 'a =
+       fun f -> match t.pool with None -> f () | Some _ -> with_lock glock f
+      in
+      let floor_fn () =
+        locked (fun () ->
+            match Common.kth_total scheme k !best with Some x -> x | None -> neg_infinity)
+      in
+      let probe sv =
+        if Array.length sv.sv_replicas = 0 then
+          {
+            r_ord = sv.sv_ord;
+            r_replica = -1;
+            r_status = Down (Option.value sv.sv_error ~default:"down");
+            r_bound = mt;
+            r_found = 0;
+          }
+        else begin
+          (* Exact threshold-algorithm cutoff, tie-breaks
+             included: an unprobed shard's best conceivable
+             answer is (score = max_total, node = its smallest
+             global id).  Once the K-th gathered answer
+             reaches max_total AND out-ranks that node on the
+             deterministic tie-break, nothing on this shard
+             can displace the top-K — so skipping keeps the
+             merge byte-identical to the unsharded corpus.
+             (An empty shard is skipped outright.) *)
+          let skip_exact () =
+            Array.length sv.sv_bases = 0
+            || locked (fun () ->
+                   match List.nth_opt !best (k - 1) with
+                   | Some kth ->
+                     Ranking.total scheme (Answer.score kth) >= mt
+                     && kth.Answer.node < sv.sv_bases.(0)
+                   | None -> false)
+          in
+          if skip_exact () then
             {
               r_ord = sv.sv_ord;
               r_replica = -1;
-              r_status = Down (Option.value sv.sv_error ~default:"down");
-              r_bound = mt;
+              r_status = Skipped;
+              r_bound = neg_infinity;
               r_found = 0;
             }
           else begin
-            (* Exact threshold-algorithm cutoff, tie-breaks
-               included: an unprobed shard's best conceivable
-               answer is (score = max_total, node = its smallest
-               global id).  Once the K-th gathered answer
-               reaches max_total AND out-ranks that node on the
-               deterministic tie-break, nothing on this shard
-               can displace the top-K — so skipping keeps the
-               merge byte-identical to the unsharded corpus.
-               (An empty shard is skipped outright.) *)
-            let skip_exact () =
-              Array.length sv.sv_spans = 0
-              || locked (fun () ->
-                     match List.nth_opt !best (k - 1) with
-                     | Some kth ->
-                       Ranking.total scheme (Answer.score kth) >= mt
-                       && kth.Answer.node < sv.sv_spans.(0).d_base
-                     | None -> false)
-            in
-            if skip_exact () then
-              {
-                r_ord = sv.sv_ord;
-                r_replica = -1;
-                r_status = Skipped;
-                r_bound = neg_infinity;
-                r_found = 0;
-              }
-            else begin
-              (* Failover walk down the replica set: every usable
-                 replica is value-identical, so retrying the probe on
-                 the next one — under the same guard, against the same
-                 spans — reproduces the answer the first would have
-                 given.  Only when the last replica dies too does the
-                 shard report [Lost]: the R-failures-out-of-R floor. *)
-              let n_reps = Array.length sv.sv_replicas in
-              let rec attempt i last_reason =
-                if i >= n_reps then begin
-                  locked (fun () -> meta_dirty := true);
+            (* Failover walk down the replica set: every usable
+               replica is value-identical, so retrying the probe on
+               the next one — under the same guard, against the same
+               column — reproduces the answer the first would have
+               given.  Only when the last replica dies too does the
+               shard report [Lost]: the R-failures-out-of-R floor. *)
+            let n_reps = Array.length sv.sv_replicas in
+            let rec attempt i last_reason =
+              if i >= n_reps then begin
+                locked (fun () -> meta_dirty := true);
+                {
+                  r_ord = sv.sv_ord;
+                  r_replica = -1;
+                  r_status = Lost last_reason;
+                  r_bound = mt;
+                  r_found = 0;
+                }
+              end
+              else begin
+                let rep_idx, senv = sv.sv_replicas.(i) in
+                match
+                  Failpoint.hit "shard_probe";
+                  run_algo algorithm ~guard ~plan ~floor:floor_fn ~executor senv ~scheme ~k q
+                with
+                | r ->
+                  locked (fun () ->
+                      let mapped =
+                        List.map
+                          (fun (a : Answer.t) ->
+                            let g = global_id sv a.Answer.node in
+                            Hashtbl.replace origins g (sv.sv_docs, a.Answer.node);
+                            { a with Answer.node = g })
+                          r.Common.answers
+                      in
+                      best := Answer.sort_and_truncate scheme k (mapped @ !best);
+                      relax := !relax + r.Common.relaxations_evaluated;
+                      passes := !passes + r.Common.passes;
+                      restarts := !restarts + r.Common.restarts;
+                      tuples := !tuples + r.Common.metrics.Joins.Exec.tuples_produced;
+                      degraded := !degraded || r.Common.degraded);
+                  let status, bound =
+                    match r.Common.completeness with
+                    | Common.Complete ->
+                      clear_strikes t t.shards.(sv.sv_ord).replicas.(rep_idx);
+                      (Served, neg_infinity)
+                    | Common.Truncated { reason; score_bound } -> (Budget reason, score_bound)
+                  in
                   {
                     r_ord = sv.sv_ord;
-                    r_replica = -1;
-                    r_status = Lost last_reason;
-                    r_bound = mt;
-                    r_found = 0;
+                    r_replica = rep_idx;
+                    r_status = status;
+                    r_bound = bound;
+                    r_found = List.length r.Common.answers;
                   }
-                end
-                else begin
-                  let rep_idx, senv = sv.sv_replicas.(i) in
-                  match
-                    Failpoint.hit "shard_probe";
-                    run_algo algorithm ~guard ~plan ~floor:floor_fn ~executor senv ~scheme ~k q
-                  with
-                  | r ->
-                    let doc = senv.Env.doc in
-                    locked (fun () ->
-                        let mapped =
-                          List.map
-                            (fun (a : Answer.t) ->
-                              match find_span sv.sv_spans a.Answer.node with
-                              | Some sp ->
-                                let g = sp.d_base + (a.Answer.node - sp.d_wrapper) in
-                                Hashtbl.replace locations g
-                                  ( sp.d_id,
-                                    doc_relative (Xmldom.Doc.path_to_root doc a.Answer.node) );
-                                { a with Answer.node = g }
-                              | None ->
-                                (* the synthetic corpus root; queries are not
-                                   expected to target it, but map it stably *)
-                                Hashtbl.replace locations 0 ("", Ingest.corpus_tag);
-                                { a with Answer.node = 0 })
-                            r.Common.answers
-                        in
-                        best := Answer.sort_and_truncate scheme k (mapped @ !best);
-                        relax := !relax + r.Common.relaxations_evaluated;
-                        passes := !passes + r.Common.passes;
-                        restarts := !restarts + r.Common.restarts;
-                        tuples := !tuples + r.Common.metrics.Joins.Exec.tuples_produced;
-                        degraded := !degraded || r.Common.degraded);
-                    let status, bound =
-                      match r.Common.completeness with
-                      | Common.Complete ->
-                        clear_strikes t t.shards.(sv.sv_ord).replicas.(rep_idx);
-                        (Served, neg_infinity)
-                      | Common.Truncated { reason; score_bound } -> (Budget reason, score_bound)
-                    in
-                    {
-                      r_ord = sv.sv_ord;
-                      r_replica = rep_idx;
-                      r_status = status;
-                      r_bound = bound;
-                      r_found = List.length r.Common.answers;
-                    }
-                  | exception (Joins.Exec.Capacity_exceeded _ as e) -> raise e
-                  | exception e ->
-                    let reason =
-                      match e with
-                      | Failpoint.Injected p -> "fault: " ^ p
-                      | e -> Printexc.to_string e
-                    in
-                    strike t t.shards.(sv.sv_ord).replicas.(rep_idx) reason;
-                    if i + 1 < n_reps then locked (fun () -> incr failovers);
-                    attempt (i + 1) reason
-                end
-              in
-              attempt 0 "down"
-            end
+                | exception (Joins.Exec.Capacity_exceeded _ as e) -> raise e
+                | exception e ->
+                  let reason =
+                    match e with
+                    | Failpoint.Injected p -> "fault: " ^ p
+                    | e -> Printexc.to_string e
+                  in
+                  strike t t.shards.(sv.sv_ord).replicas.(rep_idx) reason;
+                  if i + 1 < n_reps then locked (fun () -> incr failovers);
+                  attempt (i + 1) reason
+              end
+            in
+            attempt 0 "down"
           end
-        in
-        let n_shards = Array.length v.v_shards in
-        let report_slots = Array.make n_shards None in
-        let work i = report_slots.(i) <- Some (probe v.v_shards.(i)) in
-        (match t.pool with
-        | None -> for i = 0 to n_shards - 1 do work i done
-        | Some pool ->
-          (* A probe that raises (only [Capacity_exceeded] escapes the
-             per-shard handler) is re-raised here after the full join,
-             so no probe is still touching the gather state when the
-             exception propagates. *)
-          Taskpool.run pool (List.init n_shards (fun i () -> work i)));
-        let reports = Array.to_list report_slots |> List.filter_map Fun.id in
-        if !meta_dirty then with_lock t.reg_lock (fun () -> publish t);
-        let served =
-          List.length
-            (List.filter
-               (fun r -> match r.r_status with Served | Skipped | Budget _ -> true | _ -> false)
-               reports)
-        in
-        let bound =
-          List.fold_left
-            (fun acc r ->
-              match r.r_status with
-              | Served | Skipped -> acc
-              | Budget _ | Lost _ | Down _ -> Float.max acc r.r_bound)
-            neg_infinity reports
-        in
-        let any_loss =
-          List.exists (fun r -> match r.r_status with Lost _ | Down _ -> true | _ -> false) reports
-        in
-        let first_budget =
-          List.find_map
-            (fun r -> match r.r_status with Budget reason -> Some reason | _ -> None)
-            reports
-        in
-        let completeness =
-          if any_loss then Partial { reason = "shard-loss"; score_bound = bound }
-          else
-            match first_budget with
-            | Some reason ->
-              Partial { reason = Guard.reason_to_string reason; score_bound = bound }
-            | None -> Complete
-        in
-        let answers =
-          List.map
-            (fun (a : Answer.t) ->
-              let doc_id, path =
-                match Hashtbl.find_opt locations a.Answer.node with
-                | Some loc -> loc
-                | None -> ("", "?")
-              in
-              {
-                a_doc = doc_id;
-                a_path = path;
-                a_node = a.Answer.node;
-                a_sscore = a.Answer.sscore;
-                a_kscore = a.Answer.kscore;
-                a_dropped = a.Answer.dropped_predicates;
-              })
-            !best
-        in
-        {
-          answers;
-          served;
-          total;
-          completeness;
-          degraded = !degraded;
-          reports;
-          failovers = !failovers;
-          relaxations_evaluated = !relax;
-          passes = !passes;
-          restarts = !restarts;
-          tuples_produced = !tuples;
-        }
+        end
       in
-      match eval () with
-      | r ->
-        (match cache with
-        | Some c when cacheable r ->
-          Qcache.store_ext c (Lazy.force akey) (Cached_result r) ~size:(result_cost r)
-        | Some _ | None -> ());
-        Ok r
-      | exception Joins.Exec.Capacity_exceeded { what; limit; actual } ->
-        Error (Error.Capacity { what; limit; actual })
-      | exception Failpoint.Injected point -> Error (Error.Fault point)))
+      let report_slots = Array.make total None in
+      let work i = report_slots.(i) <- Some (probe v.v_shards.(i)) in
+      (match t.pool with
+      | None -> for i = 0 to total - 1 do work i done
+      | Some pool ->
+        (* A probe that raises (only [Capacity_exceeded] escapes the
+           per-shard handler) is re-raised here after the full join,
+           so no probe is still touching the gather state when the
+           exception propagates. *)
+        Taskpool.run pool (List.init total (fun i () -> work i)));
+      let reports = Array.to_list report_slots |> List.filter_map Fun.id in
+      if !meta_dirty then with_lock t.reg_lock (fun () -> publish t);
+      let served =
+        List.length
+          (List.filter
+             (fun r -> match r.r_status with Served | Skipped | Budget _ -> true | _ -> false)
+             reports)
+      in
+      let bound =
+        List.fold_left
+          (fun acc r ->
+            match r.r_status with
+            | Served | Skipped -> acc
+            | Budget _ | Lost _ | Down _ -> Float.max acc r.r_bound)
+          neg_infinity reports
+      in
+      let any_loss =
+        List.exists (fun r -> match r.r_status with Lost _ | Down _ -> true | _ -> false) reports
+      in
+      let first_budget =
+        List.find_map
+          (fun r -> match r.r_status with Budget reason -> Some reason | _ -> None)
+          reports
+      in
+      let completeness =
+        if any_loss then Partial { reason = "shard-loss"; score_bound = bound }
+        else
+          match first_budget with
+          | Some reason -> Partial { reason = Guard.reason_to_string reason; score_bound = bound }
+          | None -> Complete
+      in
+      (* Only the answers that survived the gather are located and
+         rendered. *)
+      let answers =
+        List.map
+          (fun (a : Answer.t) ->
+            let docs, local = Hashtbl.find origins a.Answer.node in
+            let a_doc, a_path = Ingest.locate docs local in
+            {
+              a_doc;
+              a_path;
+              a_node = a.Answer.node;
+              a_sscore = a.Answer.sscore;
+              a_kscore = a.Answer.kscore;
+              a_dropped = a.Answer.dropped_predicates;
+            })
+          !best
+      in
+      {
+        answers;
+        served;
+        total;
+        completeness;
+        degraded = !degraded;
+        reports;
+        failovers = !failovers;
+        relaxations_evaluated = !relax;
+        passes = !passes;
+        restarts = !restarts;
+        tuples_produced = !tuples;
+      }
+    in
+    match eval () with
+    | r ->
+      (match cache with
+      | Some c when cacheable r ->
+        Qcache.store_ext c (Lazy.force akey) (Cached_result r) ~size:(result_cost r)
+      | Some _ | None -> ());
+      Ok r
+    | exception Joins.Exec.Capacity_exceeded { what; limit; actual } ->
+      Error (Error.Capacity { what; limit; actual })
+    | exception Failpoint.Injected point -> Error (Error.Fault point))
 
 let cache_counters t =
   match t.cache with

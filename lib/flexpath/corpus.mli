@@ -225,7 +225,7 @@ val health : t -> shard_health array
 val scoring_env : t -> Env.t
 (** The merged scoring view — any live shard's environment, whose
     statistics and term frequencies span the whole live corpus — or
-    the empty fallback when every shard is down.  Penalty chains
+    the empty corpus's when every shard is down.  Penalty chains
     introspected against it (server [RELAX]) match what {!query}
     scores with. *)
 

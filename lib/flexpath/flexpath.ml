@@ -28,6 +28,18 @@ let algorithm_to_string = Common.algorithm_to_string
 let algorithm_of_string = Common.algorithm_of_string
 let all_algorithms = Common.all_algorithms
 
+(* A run's entry in the cache's result tier.  Only [Complete],
+   non-degraded results are stored: a [Truncated] (wire [PARTIAL]) or
+   degraded result reflects the budget of the run that produced it, not
+   the query, and must never be replayed. *)
+type Qcache.ext += Cached_result of Common.result
+
+let cacheable (r : Common.result) =
+  (match r.Common.completeness with Common.Complete -> true | Common.Truncated _ -> false)
+  && not r.Common.degraded
+
+let result_cost (r : Common.result) = 192 + (64 * List.length r.Common.answers)
+
 let run ?(algorithm = Hybrid) ?(scheme = Ranking.Structure_first) ?max_steps ?budget ?cache
     ?(executor = Joins.Exec.Auto) env ~k q =
   let keys =
@@ -35,14 +47,9 @@ let run ?(algorithm = Hybrid) ?(scheme = Ranking.Structure_first) ?max_steps ?bu
       (let pk = Qcache.plan_key ~algorithm ~scheme ?max_steps q in
        (pk, Qcache.answer_key ~plan_key:pk ~k ~budget ~executor))
   in
-  let answer_hit =
-    match cache with
-    | None -> None
-    | Some c -> Qcache.find_answer c (snd (Lazy.force keys))
-  in
-  match answer_hit with
-  | Some result -> Ok result
-  | None -> (
+  match Option.bind cache (fun c -> Qcache.find_ext c (snd (Lazy.force keys))) with
+  | Some (Cached_result result) -> Ok result
+  | Some _ | None -> (
     let guard = match budget with None -> Guard.none | Some b -> Guard.start b in
     let eval () =
       let plan =
@@ -65,8 +72,10 @@ let run ?(algorithm = Hybrid) ?(scheme = Ranking.Structure_first) ?max_steps ?bu
     match eval () with
     | result ->
       (match cache with
-      | Some c -> Qcache.store_answer c (snd (Lazy.force keys)) result
-      | None -> ());
+      | Some c when cacheable result ->
+        Qcache.store_ext c (snd (Lazy.force keys)) (Cached_result result)
+          ~size:(result_cost result)
+      | Some _ | None -> ());
       Ok result
     | exception Joins.Exec.Capacity_exceeded { what; limit; actual } ->
       Error (Error.Capacity { what; limit; actual })

@@ -74,7 +74,7 @@ val run :
     injected faults come back as [Error], budget exhaustion as a
     [Truncated] {!Common.result}.
 
-    With [cache], the answer tier is consulted first (a hit returns the
+    With [cache], the result tier is consulted first (a hit returns the
     memoized [Complete] result without touching the executor at all);
     on a miss the plan tier supplies — or is populated with — the
     penalty environment, relaxation chain and compiled join plans, and
@@ -84,7 +84,7 @@ val run :
     [executor] (default [Auto]) selects the physical join operator per
     evaluation pass — see {!Joins.Exec.executor}.  Results are
     byte-identical across executors; the executor is still part of the
-    answer-cache key because budget truncation points can differ. *)
+    result-tier key because budget truncation points can differ. *)
 
 val run_exn :
   ?algorithm:algorithm ->

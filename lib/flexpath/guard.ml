@@ -31,7 +31,6 @@ let none = { budget = unlimited; clock = Monotime.create (); tuples = 0; trip = 
 let start budget = { budget; clock = Monotime.create (); tuples = 0; trip = None }
 let tripped g = g.trip
 let tuples_consumed g = g.tuples
-let poll_interval = 4096
 
 let past_deadline g =
   match g.budget.deadline_ms with

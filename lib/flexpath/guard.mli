@@ -4,8 +4,8 @@
     time, tuples produced by the join executor, and relaxation steps
     (evaluation passes).  A running query carries a guard — the mutable
     runtime state of its budget — and the executor polls it
-    cooperatively from its hot join loop (amortized, every
-    {!poll_interval} tuples, so ungoverned runs pay nothing).
+    cooperatively from its hot join loop (amortized, every 4096
+    tuples, so ungoverned runs pay nothing).
 
     Exhausting a budget is {e not} an error: the §5 top-K algorithms
     degrade gracefully, returning the best-effort top-K collected so
@@ -77,6 +77,3 @@ val pass_allowed : t -> passes:int -> reason option
 
 val restart_exhausted : t -> restarts:int -> bool
 (** Would one more SSO/Hybrid restart exceed the cap? *)
-
-val poll_interval : int
-(** Tuples between two cancellation checks in the executor (4096). *)

@@ -1,11 +1,12 @@
 (** Hybrid (§5.2.3, Algorithm 2).
 
-    Same single-plan evaluation as SSO, but intermediate results are
-    kept in buckets keyed by the set of satisfied predicates: all
-    answers in a bucket share a score, buckets are ordered by score, and
-    tuples inside a bucket stay in node-id order — so no re-sorting on
-    score ever happens, while threshold / maxScoreGrowth pruning still
-    applies per bucket. *)
+    Same single-plan evaluation as SSO, but intermediate tuples are
+    never re-sorted on score: they stay in node-id order, and the
+    executor counts their buckets — the distinct satisfied-predicate
+    sets, whose members share a score — in [buckets_touched].
+    Threshold / maxScoreGrowth pruning applies as under SSO.  Taking
+    the buckets best first, as §5.2.3 describes, is ROADMAP item 8(b);
+    today Hybrid is SSO without the re-sort. *)
 
 val run :
   ?max_steps:int ->

@@ -11,13 +11,19 @@ module Index = Fulltext.Index
    (the merge-equivalence property the test suite checks).  The
    registry of document ids is carried by the wrapper attributes, so a
    Storage v2 snapshot of the corpus env persists everything: no format
-   change, and crash recovery of the registry comes free with DOCM. *)
+   change, and crash recovery of the registry comes free with DOCM.
+
+   This module is the only one that knows that layout.  Everything
+   above it reads the document-boundary column: one row per document,
+   its id and the pre-order range of its wrapper's subtree, built once
+   per corpus value. *)
 
 let corpus_tag = "fx-corpus"
 let doc_tag = "fx-doc"
 let id_attr = "id"
 
-type corpus = { env : Env.t; ids : string list }
+type span = { id : string; first : int; stop : int }
+type corpus = { env : Env.t; spans : span array }
 
 (* ------------------------------------------------------------------ *)
 (* Document ids.
@@ -92,27 +98,61 @@ let wrap id tree = Xml.Element (doc_tag, [ (id_attr, id) ], [ tree ])
 
 let corpus_tree docs = Xml.Element (corpus_tag, [], List.map (fun (id, t) -> wrap id t) docs)
 
+(* The column of a corpus document whose wrappers carry [ids], in order. *)
+let column doc ids =
+  List.map2
+    (fun id w -> { id; first = w; stop = Doc.subtree_end doc w })
+    ids
+    (Doc.children doc (Doc.root doc))
+  |> Array.of_list
+
 let of_docs ?weights ?hierarchy ?scorer docs =
   match Env.build ?weights ?hierarchy ?scorer (Doc.of_tree (corpus_tree docs)) with
-  | Ok env -> Ok { env; ids = List.map fst docs }
+  | Ok env -> Ok { env; spans = column env.Env.doc (List.map fst docs) }
   | Error e -> Error e
 
 let empty ?weights ?hierarchy () = of_docs ?weights ?hierarchy []
 
-let ids corpus = corpus.ids
 let env corpus = corpus.env
-let mem corpus id = List.mem id corpus.ids
+let spans corpus = corpus.spans
+let ids corpus = Array.fold_right (fun s acc -> s.id :: acc) corpus.spans []
+let mem corpus id = Array.exists (fun s -> String.equal s.id id) corpus.spans
+let doc_count corpus = Array.length corpus.spans
 
-(* Extract the wrapped tree of each document from the corpus document
-   itself — the corpus is its own registry. *)
+(* Each wrapper holds one document tree. *)
 let docs corpus =
   let doc = corpus.env.Env.doc in
-  Doc.children doc (Doc.root doc)
-  |> List.map (fun w ->
-         let id = Option.value ~default:"" (Doc.attribute doc w id_attr) in
-         match Doc.children doc w with
-         | [ c ] -> (id, Doc.tree_of doc c)
-         | _ -> (id, Doc.tree_of doc w))
+  Array.to_list corpus.spans
+  |> List.map (fun s ->
+         match Doc.children doc s.first with
+         | [ c ] -> (s.id, Doc.tree_of doc c)
+         | _ -> (s.id, Doc.tree_of doc s.first))
+
+(* Binary search for the row whose range holds [node]. *)
+let find corpus node =
+  let spans = corpus.spans in
+  let rec go lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let s = spans.(mid) in
+      if node < s.first then go lo mid else if node >= s.stop then go (mid + 1) hi else Some mid
+  in
+  go 0 (Array.length spans)
+
+(* A document's own wrapper renders as the bare id; a node inside it as
+   its path below the wrapper ("fx-corpus[1]/fx-doc[k]/article[1]/p[2]"
+   drops its first two steps); the root, outside every document, as its
+   tag under the empty id. *)
+let locate corpus node =
+  let doc = corpus.env.Env.doc in
+  match find corpus node with
+  | None -> ("", Doc.tag_name doc node)
+  | Some i when node = corpus.spans.(i).first -> (corpus.spans.(i).id, "")
+  | Some i ->
+    let full = Doc.path_to_root doc node in
+    let j = String.index_from full (String.index full '/' + 1) '/' in
+    (corpus.spans.(i).id, String.sub full (j + 1) (String.length full - j - 1))
 
 let of_env env =
   let doc = env.Env.doc in
@@ -147,7 +187,7 @@ let of_env env =
     in
     match collect [] kids with
     | Error e -> Error e
-    | Ok ids -> Ok { env; ids }
+    | Ok ids -> Ok { env; spans = column doc ids }
   end
 
 (* Incremental append: extend document, index and statistics in place
@@ -163,7 +203,8 @@ let append_new corpus ~id tree =
   let env =
     Env.of_parts ~weights:env.Env.weights ~doc ~index ~stats ~hierarchy:env.Env.hierarchy ()
   in
-  { env; ids = corpus.ids @ [ id ] }
+  let row = { id; first = first_new; stop = Doc.size doc } in
+  { env; spans = Array.append corpus.spans [| row |] }
 
 (* Rebuild from a document list, inheriting tuning from the old env. *)
 let rebuild_as corpus docs_list =
@@ -275,9 +316,7 @@ let open_store ?weights ?hierarchy ?(limits = default_limits)
             readonly_since_ms = None;
           }))
 
-let store_env st = st.corpus.env
-let store_ids st = st.corpus.ids
-let doc_count st = List.length st.corpus.ids
+let store_corpus st = st.corpus
 let unmerged_records st = st.unmerged
 let replayed_records st = st.replayed
 let wal_bytes st = Wal.bytes st.wal
@@ -355,7 +394,7 @@ let ingest st ?id xml =
       let id =
         match id with
         | Some id -> check_id id
-        | None -> Ok (Printf.sprintf "doc-%d" (next_auto_of st.corpus.ids))
+        | None -> Ok (Printf.sprintf "doc-%d" (next_auto_of (ids st.corpus)))
       in
       match id with
       | Error e -> Error e

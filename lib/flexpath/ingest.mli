@@ -24,14 +24,11 @@
 
     Corpora are immutable values; a store is single-writer mutable
     state ({!Corpus} serializes each shard's writers and publishes
-    every acknowledged write as a new view). *)
+    every acknowledged write as a new view).
 
-val corpus_tag : string
-(** ["fx-corpus"], the synthetic root tag. *)
-
-val doc_tag : string
-(** ["fx-doc"], the per-document wrapper tag; its [id] attribute is the
-    document id. *)
+    This module is the only one that knows the layout.  Callers read a
+    corpus's {e document-boundary column} ({!spans}) and render answers
+    through {!locate}. *)
 
 val valid_id : string -> bool
 (** Ids are 1-128 characters from [A-Za-z0-9._-]: safe on the wire
@@ -78,13 +75,36 @@ val of_env : Env.t -> (corpus, Error.t) result
     duplicated. *)
 
 val env : corpus -> Env.t
+
+type span = { id : string; first : int; stop : int }
+(** One row of the document-boundary column: a document's id and the
+    pre-order ids [first .. stop - 1] of its subtree in the corpus
+    document, wrapper included. *)
+
+val spans : corpus -> span array
+(** The column, in corpus order (ascending [first]): built once per
+    corpus value by {!of_docs}, {!of_env} and {!add}.  Shared: do not
+    mutate. *)
+
 val ids : corpus -> string list
 (** Document ids in corpus order (ingestion order, upserts moving to
     the end). *)
 
 val mem : corpus -> string -> bool
+val doc_count : corpus -> int
+
 val docs : corpus -> (string * Xmldom.Xml.t) list
 (** Extract every (id, document tree), in corpus order. *)
+
+val find : corpus -> int -> int option
+(** The row of {!spans} whose range holds a node; [None] for a node
+    outside every document (the corpus root).  Binary search. *)
+
+val locate : corpus -> int -> string * string
+(** [(id, path)]: the document holding a node and the node's path below
+    its wrapper, in {!Xmldom.Doc.path_to_root} steps ([""] for the
+    wrapper itself).  The corpus root, outside every document, is
+    [("", <its tag>)]. *)
 
 val add : corpus -> id:string -> Xmldom.Xml.t -> (corpus, Error.t) result
 (** Upsert.  New ids append incrementally; existing ids rebuild with
@@ -166,12 +186,9 @@ val merge : store -> (unit, Error.t) result
     merge domain dying in the one window where snapshot and log
     overlap, which replay handles idempotently. *)
 
-val store_env : store -> Env.t
-(** The current corpus env — what {!Corpus} publishes after each
+val store_corpus : store -> corpus
+(** The current corpus — what {!Corpus} publishes after each
     acknowledged write. *)
-
-val store_ids : store -> string list
-val doc_count : store -> int
 
 val unmerged_records : store -> int
 (** The [delta_docs] STATS gauge. *)

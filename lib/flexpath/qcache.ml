@@ -2,7 +2,8 @@
 
    - the plan tier memoizes {!Common.plan} values (penalty environment,
      relaxation chain, lazily compiled join plans);
-   - the answer tier memoizes complete {!Common.result} values.
+   - the result tier holds values of the extensible [ext] type, which
+     each caller extends with its own result type.
 
    Both tiers share one byte budget and one recency list; keys are
    namespaced by a one-character prefix.  Sizes are deterministic
@@ -15,7 +16,7 @@ type counters = { hits : int; misses : int; evictions : int; bytes : int; entrie
 
 type ext = ..
 
-type value = Plan of Common.plan | Answers of Common.result | Ext of ext
+type value = Plan of Common.plan | Ext of ext
 
 type node = {
   key : string;
@@ -104,9 +105,6 @@ let plan_cost key (p : Common.plan) =
   String.length key + 256 + query_cost p.Common.pquery
   + Array.fold_left (fun acc e -> acc + entry_cost e) 0 p.Common.chain
 
-let answers_cost key (r : Common.result) =
-  String.length key + 192 + (64 * List.length r.Common.answers)
-
 (* ------------------------------------------------------------------ *)
 (* Lookup / insert *)
 
@@ -138,11 +136,11 @@ let store t key value size =
 (* ------------------------------------------------------------------ *)
 (* Keys.  The plan tier is keyed by everything that shapes the chain
    and its evaluation order (canonical shape, scheme, algorithm, chain
-   length) plus the caller's data scope; the answer tier adds [k] and
-   the budget class, so a governed request never sees a result computed
-   under laxer limits — conservative, since a [Complete] result is
-   budget-independent, but it keeps every cached entry explainable from
-   its key alone.  The executor is part of the answer key, not the plan
+   length) plus the caller's data scope; a result's answer key adds [k]
+   and the budget class, so a governed request never sees a result
+   computed under laxer limits — conservative, since a [Complete]
+   result is budget-independent, but it keeps every cached entry
+   explainable from its key alone.  The executor is part of the answer key, not the plan
    key: plans are executor-independent, and while executors agree
    byte-for-byte on un-truncated results, a tuple budget or deadline
    can trip at a different point under each. *)
@@ -168,7 +166,6 @@ let answer_key ~plan_key ~k ~budget ~executor =
     (Joins.Exec.executor_to_string executor)
 
 let plan_ns key = "P:" ^ key
-let answer_ns key = "A:" ^ key
 let ext_ns key = "X:" ^ key
 
 let find_plan t key =
@@ -178,22 +175,10 @@ let store_plan t key p =
   let key = plan_ns key in
   store t key (Plan p) (plan_cost key p)
 
-let cacheable (r : Common.result) =
-  (match r.Common.completeness with Common.Complete -> true | Common.Truncated _ -> false)
-  && not r.Common.degraded
-
-let find_answer t key =
-  match find t (answer_ns key) with Some (Answers r) -> Some r | Some _ | None -> None
-
-let store_answer t key r =
-  if cacheable r then begin
-    let key = answer_ns key in
-    store t key (Answers r) (answers_cost key r)
-  end
-
-(* The extension tier lets layers above (the sharded corpus) cache
-   their own result types in the same byte budget and recency list;
-   they bring their own deterministic size estimate. *)
+(* The result tier: each caller ({!Flexpath.run}, the sharded corpus)
+   caches its own result type in the same byte budget and recency list,
+   and brings its own cacheability rule and deterministic size
+   estimate. *)
 let find_ext t key =
   match find t (ext_ns key) with Some (Ext e) -> Some e | Some _ | None -> None
 

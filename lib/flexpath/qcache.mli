@@ -12,14 +12,14 @@
       by the algorithms) the relaxation-encoded join plan per chain
       entry.  Callers key it by canonical key + ranking scheme +
       algorithm + chain length;
-    - the {b answer tier} holds complete {!Common.result} values,
-      keyed additionally by [k] and the effective budget class.
-
-    {b Cacheability}: only results that are [Complete] and not
-    [degraded] are ever stored — a [Truncated] (wire [PARTIAL]) or
-    degraded result reflects the budget of the run that produced it,
-    not the query, and must never be replayed ({!store_answer} on one
-    is a no-op).
+    - the {b result tier} holds values of the extensible {!ext} type,
+      keyed additionally by [k], the effective budget class and the
+      executor ({!answer_key}).  {!Flexpath.run} stores its
+      {!Common.result} there and the sharded corpus its merged result;
+      each brings its own cacheability rule (only complete,
+      non-degraded results — a truncated or degraded one reflects the
+      budget of the run that produced it, not the query) and its own
+      size estimate.
 
     A cache is bound to one environment: entries embed penalties and
     statistics derived from it.  The server creates a fresh cache per
@@ -68,7 +68,7 @@ val answer_key :
   budget:Guard.budget option ->
   executor:Joins.Exec.executor ->
   string
-(** The answer-tier key: the plan key extended with [k], the budget
+(** The result-tier key: the plan key extended with [k], the budget
     class and the executor (truncation points under a budget can differ
     per physical operator, so governed results must not cross
     executors; un-truncated results are identical either way). *)
@@ -81,25 +81,13 @@ val store_plan : t -> string -> Common.plan -> unit
     until the budget holds.  An entry larger than the whole budget is
     refused. *)
 
-val find_answer : t -> string -> Common.result option
-(** Answer-tier lookup; every result returned is [Complete] and not
-    [degraded]. *)
-
-val store_answer : t -> string -> Common.result -> unit
-(** No-op unless {!cacheable}. *)
-
-val cacheable : Common.result -> bool
-(** [Complete] and not [degraded]. *)
-
 type ext = ..
-(** The {b extension tier}: layers above the single-environment engine
-    (the sharded corpus) extend this type with their own cached values
-    and share the same byte budget and recency list.  Extension keys
-    live in their own namespace and never collide with plan or answer
-    keys. *)
+(** The {b result tier}'s values: each caller extends this type with
+    its own result.  Result keys live in their own namespace and never
+    collide with plan keys. *)
 
 val find_ext : t -> string -> ext option
-(** Extension-tier lookup; a hit refreshes recency. *)
+(** Result-tier lookup; a hit refreshes recency. *)
 
 val store_ext : t -> string -> ext -> size:int -> unit
 (** Insert or replace; [size] is the caller's deterministic estimate in

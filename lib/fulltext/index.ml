@@ -683,5 +683,3 @@ let overlay_of idxs =
   { ov_n_tokens; ov_avg_scope_len; ov_gdf; ov_shards = idxs }
 
 let with_overlay idx ov = { idx with overlay = Some ov }
-let overlay_n_tokens ov = ov.ov_n_tokens
-let overlay_df ov w = gdf ov (Stemmer.stem w)

@@ -156,7 +156,3 @@ val with_overlay : t -> overlay -> t
     element-local operations are unchanged.  The result is a scoring
     view: do not persist or {!extend} it, and {!compile} against the
     view, not against [t]. *)
-
-val overlay_n_tokens : overlay -> int
-val overlay_df : overlay -> string -> int
-(** Corpus-wide occurrence count of (the stem of) a word. *)

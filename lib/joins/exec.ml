@@ -465,18 +465,15 @@ let run ?(metrics = fresh_metrics ()) ?cancel ?(executor = Auto) env enc strateg
       List.stable_sort (fun a b -> Float.compare b.score a.score) tuples
     end
     else if strategy.bucketize then begin
-      (* Hybrid's bucketization (§5.2.3): a bucket per satisfied-
-         predicate set, identified by the tuple's mask.  Maintaining the
-         buckets costs one hash upsert per tuple; ordering them on score
-         costs a sort of the (few) bucket keys only — never of the
-         tuples, which stay in node-id order. *)
+      (* Hybrid's buckets (§5.2.3) are satisfied-predicate sets, one per
+         distinct tuple mask.  They are counted, not evaluated best
+         first (ROADMAP item 8(b)): the tuples stay in node-id order and
+         pass on unchanged, so Hybrid is SSO without the re-sort. *)
       let buckets = Hashtbl.create 64 in
       List.iter
         (fun t -> if not (Hashtbl.mem buckets t.mask) then Hashtbl.replace buckets t.mask t.score)
         tuples;
       metrics.buckets_touched <- metrics.buckets_touched + Hashtbl.length buckets;
-      let keys = Hashtbl.fold (fun mask score acc -> (mask, score) :: acc) buckets [] in
-      ignore (List.sort (fun (_, s1) (_, s2) -> Float.compare s2 s1) keys);
       tuples
     end
     else tuples

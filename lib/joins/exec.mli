@@ -13,9 +13,10 @@
     - [sort_on_score] re-sorts the intermediate tuple list on score at
       every stage — SSO's behaviour, whose cost §5.2.2 calls the
       "fundamental tension" between node-id order and score order;
-    - [bucketize] groups tuples by satisfied-predicate set instead, so
-      only bucket {e keys} are ordered and tuples stay in node-id order —
-      Hybrid's bucketization (§5.2.3);
+    - [bucketize] counts the satisfied-predicate sets (Hybrid's
+      buckets, §5.2.3) in [buckets_touched] and never re-sorts: tuples
+      stay in node-id order.  The buckets are not yet evaluated best
+      first (ROADMAP item 8(b));
     - [prune_k] enables threshold + maxScoreGrowth pruning: a tuple is
       discarded when even its best achievable final score cannot reach
       the current K-th answer's guaranteed score. *)

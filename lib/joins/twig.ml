@@ -7,21 +7,6 @@ module Query = Tpq.Query
    it. *)
 let applicable enc = Encoded.conjunctive enc
 
-(* Does [e] have a child in the sorted stream?  Same skip scan as
-   [Structural_join.children_with_tag], stopping at the first hit. *)
-let has_child_in doc stream e =
-  let lo, hi = Structural_join.subtree_slice doc stream e in
-  let child_level = Doc.level doc e + 1 in
-  let rec go i =
-    if i >= hi then false
-    else begin
-      let x = stream.(i) in
-      Doc.level doc x = child_level
-      || go (Structural_join.lower_bound_in stream (i + 1) hi (Doc.subtree_end doc x))
-    end
-  in
-  go lo
-
 (* Per-domain scratch for parent stamping: a generation-stamped column
    over element ids, grown to the largest document seen by this domain
    and reused across filter calls — re-allocating megabytes per query

@@ -20,10 +20,6 @@ val applicable : Encoded.t -> bool
     sound stream filter for it — those plans take the binary
     pipeline. *)
 
-val has_child_in : Xmldom.Doc.t -> Xmldom.Doc.elem array -> Xmldom.Doc.elem -> bool
-(** [has_child_in doc stream e]: does [e] have a child in the sorted
-    [stream]?  Level-column skip scan, O(hits · log slice). *)
-
 val filter :
   Xmldom.Doc.t ->
   anchors:(int * Tpq.Query.axis) option array ->

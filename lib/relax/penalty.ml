@@ -7,7 +7,6 @@ module Ftexp = Fulltext.Ftexp
 type weights = Pred.t -> float
 
 let uniform _ = 1.0
-let scaled c _ = c
 
 type t = {
   stats : Stats.t;

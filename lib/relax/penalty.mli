@@ -12,9 +12,6 @@ type weights = Tpq.Pred.t -> float
 val uniform : weights
 (** Weight 1 for every predicate — the assignment of Example 1. *)
 
-val scaled : float -> weights
-(** Constant weight [c]. *)
-
 type t
 (** Penalty environment: the original query, its closure, tag bindings,
     statistics, weights and (optionally) a type hierarchy.  The scored

@@ -31,7 +31,7 @@ type single = {
 }
 
 (* A merged view sums counts across sources by tag NAME (tag ids are
-   per-document).  [root_tag] names the synthetic per-shard root: each
+   per-document).  [root_tag] is the root tag every source shares: each
    source contributes one such element where the equivalent combined
    document has exactly one, so tag counts and element totals subtract
    the [n-1] surplus roots.  Every other count is purely additive —
@@ -88,21 +88,19 @@ let single_of = function
 
 let sources = function Single s -> [| s |] | Merged m -> m.sources
 
-let merged ~root_tag ts =
-  match ts with
+let root_name s = Doc.tag_name s.doc (Doc.root s.doc)
+
+let merged ts =
+  match List.map single_of ts with
   | [] -> invalid_arg "Stats.merged: at least one source required"
-  | _ ->
-    let srcs =
-      List.map
-        (fun t ->
-          let s = single_of t in
-          let rt = Doc.tag_name s.doc (Doc.root s.doc) in
-          if rt <> root_tag then
-            invalid_arg
-              (Printf.sprintf "Stats.merged: source rooted at <%s>, expected <%s>" rt root_tag);
-          s)
-        ts
-    in
+  | s0 :: _ as srcs ->
+    let root_tag = root_name s0 in
+    List.iter
+      (fun s ->
+        if root_name s <> root_tag then
+          invalid_arg
+            (Printf.sprintf "Stats.merged: sources rooted at <%s> and <%s>" root_tag (root_name s)))
+      srcs;
     Merged { sources = Array.of_list srcs; root_tag }
 
 (* Extend statistics over a document that grew by [Doc.append_trees].

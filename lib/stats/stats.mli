@@ -14,18 +14,18 @@ val build : Xmldom.Doc.t -> t
 (** One pass over the document (plus one ancestor-stack pass for the
     [#ad] table). *)
 
-val merged : root_tag:string -> t list -> t
-(** [merged ~root_tag shards]: a read-only view summing every count
-    across the shards' statistics by tag {e name}, as if one combined
-    document held all their content.  Each shard must be rooted at
-    [root_tag] (the synthetic corpus root); the view subtracts the
-    [n-1] surplus roots from tag counts and element totals, so the
-    numbers match a single document whose root adopts all shards'
-    children.  Sources must each have an index attached (for
-    [#contains]).  Merged views are query-time values: {!extend},
-    {!set_index} and {!to_portable} reject them.
-    @raise Invalid_argument on an empty list, a merged source, or a
-    source whose root tag differs from [root_tag]. *)
+val merged : t list -> t
+(** [merged shards]: a read-only view summing every count across the
+    shards' statistics by tag {e name}, as if one combined document
+    held all their content.  The shards must share one root tag, which
+    the view reads off them; it subtracts the [n-1] surplus roots from
+    tag counts and element totals, so the numbers match a single
+    document whose root adopts all shards' children.  Sources must each
+    have an index attached (for [#contains]).  Merged views are
+    query-time values: {!extend}, {!set_index} and {!to_portable}
+    reject them.
+    @raise Invalid_argument on an empty list, a merged source, or
+    sources with different root tags. *)
 
 val total_elems : t -> int
 (** Total element count (across all shards for a merged view, counting

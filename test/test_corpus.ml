@@ -497,6 +497,45 @@ let test_all_shards_down () =
             check_bool "sound bound" true (score_bound >= 0.)
           | _ -> Alcotest.fail "expected shard-loss PARTIAL"))
 
+(* With every shard down the query still plans (on the empty corpus's
+   env) and scatters: each shard reports [Down] under the one
+   data-independent bound, and an over-capacity query is refused with
+   [Capacity] exactly as on a healthy corpus. *)
+let test_all_shards_down_plans () =
+  let over = parse_query "//a/b/c/d/e/f/g/h/i/j/k/l" in
+  let expect_capacity what c =
+    match Corpus.query c ~k:5 over with
+    | Error (Error.Capacity _) -> ()
+    | Ok _ -> Alcotest.failf "%s: over-capacity query answered" what
+    | Error e -> Alcotest.failf "%s: expected Capacity, got %s" what (Error.to_string e)
+  in
+  with_corpus_paths ~shards:2 (fun prefix ->
+      let c = ok_exn "open healthy" (Corpus.open_corpus ~shards:2 ~prefix ()) in
+      Fun.protect
+        ~finally:(fun () -> Corpus.close c)
+        (fun () ->
+          fill c (bodies 4 1900);
+          expect_capacity "healthy" c));
+  with_corpus_paths ~shards:2 (fun prefix ->
+      write_file (prefix ^ ".shard0") "not a snapshot";
+      write_file (prefix ^ ".shard1") "not a snapshot either";
+      let c = ok_exn "open" (Corpus.open_corpus ~shards:2 ~prefix ()) in
+      Fun.protect
+        ~finally:(fun () -> Corpus.close c)
+        (fun () ->
+          expect_capacity "all down" c;
+          let r = ok_exn "query" (Corpus.query c ~k:5 (parse_query (List.nth queries 2))) in
+          match r.Corpus.completeness with
+          | Corpus.Partial { reason = "shard-loss"; score_bound } ->
+            check_bool "every shard reports Down under the partial's bound" true
+              (List.for_all
+                 (fun (rep : Corpus.shard_report) ->
+                   (match rep.r_status with Corpus.Down _ -> true | _ -> false)
+                   && rep.r_bound = score_bound)
+                 r.Corpus.reports
+              && List.length r.Corpus.reports = 2)
+          | _ -> Alcotest.fail "expected shard-loss PARTIAL"))
+
 (* ------------------------------------------------------------------ *)
 (* Replication: WAL shipping, failover, catch-up, read-only degrade *)
 
@@ -866,6 +905,8 @@ let () =
           Alcotest.test_case "probe loss, strikes, quarantine, RELOAD" `Slow
             test_shard_lost_mid_query_and_quarantine;
           Alcotest.test_case "all shards down" `Quick test_all_shards_down;
+          Alcotest.test_case "all shards down: plans and refuses over-capacity" `Quick
+            test_all_shards_down_plans;
         ] );
       ( "replication",
         [

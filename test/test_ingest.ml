@@ -193,6 +193,41 @@ let test_upsert_delete_equivalence () =
   let fresh = ok_exn "of_docs" (Ingest.of_docs [ ("a", t3); ("c", t4) ]) in
   check_corpus_equal "upsert/delete" fresh corpus
 
+(* The document-boundary column: each row's range is its wrapper's
+   subtree; an incrementally grown corpus carries the same column as an
+   offline rebuild and a snapshot reload; [locate] renders a node by its
+   document and its path below the wrapper. *)
+let test_boundary_column () =
+  let t1 = article 701 and t2 = article 702 and t3 = article 703 in
+  let corpus = ok_exn "empty" (Ingest.empty ()) in
+  let corpus = ok_exn "add a" (Ingest.add corpus ~id:"a" t1) in
+  let corpus = ok_exn "add b" (Ingest.add corpus ~id:"b" t2) in
+  let corpus = ok_exn "add c" (Ingest.add corpus ~id:"c" t3) in
+  let corpus = ok_exn "upsert b" (Ingest.add corpus ~id:"b" t2) in
+  let fresh = ok_exn "of_docs" (Ingest.of_docs [ ("a", t1); ("c", t3); ("b", t2) ]) in
+  let reloaded = ok_exn "of_env" (Ingest.of_env (Ingest.env corpus)) in
+  check_bool "incremental column = offline column" true (Ingest.spans corpus = Ingest.spans fresh);
+  check_bool "reloaded column = offline column" true (Ingest.spans reloaded = Ingest.spans fresh);
+  check_int "doc_count" 3 (Ingest.doc_count corpus);
+  check_bool "mem" true (Ingest.mem corpus "c" && not (Ingest.mem corpus "z"));
+  let doc = (Ingest.env corpus).Env.doc in
+  let check_loc = Alcotest.(check (pair string string)) in
+  Array.iteri
+    (fun i (s : Ingest.span) ->
+      check_int "range is the wrapper's subtree" (Doc.subtree_end doc s.first) s.stop;
+      check_bool "find" true
+        (Ingest.find corpus s.first = Some i && Ingest.find corpus (s.stop - 1) = Some i);
+      check_loc "wrapper renders as the bare id" (s.id, "") (Ingest.locate corpus s.first);
+      check_loc "document root" (s.id, "article[1]") (Ingest.locate corpus (s.first + 1));
+      let id, path = Ingest.locate corpus (s.first + 2) in
+      check_bool "inner node: its path below the wrapper" true
+        (id = s.id
+        && String.starts_with ~prefix:"article[1]/" path
+        && String.ends_with ~suffix:("]/" ^ path) (Doc.path_to_root doc (s.first + 2))))
+    (Ingest.spans corpus);
+  check_bool "root is outside every document" true (Ingest.find corpus 0 = None);
+  check_loc "root renders as its tag" ("", "fx-corpus") (Ingest.locate corpus 0)
+
 (* Random op interleavings against an assoc-list model. *)
 let prop_random_ops =
   let open QCheck2.Gen in
@@ -326,7 +361,7 @@ let test_wal_truncated_store_recovers_prefix () =
       with_store_paths (fun ~snapshot ~wal ->
           write_file wal (String.sub img 0 cut);
           let store = ok_exn "open_store" (Ingest.open_store ~snapshot ~wal ()) in
-          let ids = Ingest.store_ids store in
+          let ids = Ingest.ids (Ingest.store_corpus store) in
           Ingest.close store;
           if ids <> expected_ids_at cut then
             Alcotest.failf "cut at %d: recovered ids [%s], expected [%s]" cut
@@ -350,14 +385,14 @@ let test_store_replay_roundtrip () =
       ok_exn "delete" (Ingest.delete store ~id:id1);
       check_int "unmerged" 4 (Ingest.unmerged_records store);
       check_bool "staleness > 0" true (Ingest.staleness_ms store >= 0.0);
-      let ids = Ingest.store_ids store in
-      let fp = fingerprint (Ingest.store_env store) in
+      let ids = Ingest.ids (Ingest.store_corpus store) in
+      let fp = fingerprint (Ingest.env (Ingest.store_corpus store)) in
       Ingest.close store;
       (* Restart without any merge: everything comes from the WAL. *)
       let store = ok_exn "reopen" (Ingest.open_store ~snapshot ~wal ()) in
       check_int "replayed" 4 (Ingest.replayed_records store);
-      check_bool "ids survive" true (Ingest.store_ids store = ids);
-      check_string "results survive" fp (fingerprint (Ingest.store_env store));
+      check_bool "ids survive" true (Ingest.ids (Ingest.store_corpus store) = ids);
+      check_string "results survive" fp (fingerprint (Ingest.env (Ingest.store_corpus store)));
       (* Auto ids derive from the live corpus: doc-1 was deleted, so
          its slot is reusable, and a restart assigns the same id a
          continuous run would. *)
@@ -370,7 +405,7 @@ let test_store_merge_truncates_wal () =
       let store = ok_exn "open" (Ingest.open_store ~snapshot ~wal ()) in
       let _ = ok_exn "ingest" (Ingest.ingest store (Xml.to_string (article 500))) in
       let _ = ok_exn "ingest" (Ingest.ingest store (Xml.to_string (article 501))) in
-      let fp = fingerprint (Ingest.store_env store) in
+      let fp = fingerprint (Ingest.env (Ingest.store_corpus store)) in
       ok_exn "merge" (Ingest.merge store);
       check_int "nothing unmerged" 0 (Ingest.unmerged_records store);
       check_bool "staleness reset" true (Ingest.staleness_ms store = 0.0);
@@ -378,7 +413,8 @@ let test_store_merge_truncates_wal () =
       Ingest.close store;
       let store = ok_exn "reopen" (Ingest.open_store ~snapshot ~wal ()) in
       check_int "no replay after merge" 0 (Ingest.replayed_records store);
-      check_string "results survive merge" fp (fingerprint (Ingest.store_env store));
+      check_string "results survive merge" fp
+        (fingerprint (Ingest.env (Ingest.store_corpus store)));
       Ingest.close store)
 
 (* Crash simulation: arm a failpoint, drive the store into it, then
@@ -396,9 +432,10 @@ let test_kill_at_every_failpoint () =
         Ingest.close !store;
         store := ok_exn "restart" (Ingest.open_store ~snapshot ~wal ());
         let fresh = ok_exn "of_docs" (Ingest.of_docs !acked) in
-        check_bool "recovered = acked" true (Ingest.store_ids !store = List.map fst !acked);
+        check_bool "recovered = acked" true
+          (Ingest.ids (Ingest.store_corpus !store) = List.map fst !acked);
         check_string "recovered results = acked results" (fingerprint (Ingest.env fresh))
-          (fingerprint (Ingest.store_env !store))
+          (fingerprint (Ingest.env (Ingest.store_corpus !store)))
       in
       ingest_ok 600;
       ingest_ok 601;
@@ -489,6 +526,7 @@ let () =
           Alcotest.test_case "upsert and delete == offline rebuild" `Quick
             test_upsert_delete_equivalence;
           QCheck_alcotest.to_alcotest prop_random_ops;
+          Alcotest.test_case "document-boundary column" `Quick test_boundary_column;
         ] );
       ( "wal",
         [

@@ -17,16 +17,11 @@ let make_env ?(seed = 7) ?(count = 30) () = Env.make (Xmark.Articles.doc ~seed ~
 let q () =
   Xpath.parse_exn "//article[./section[./paragraph[.contains(\"xml\" and \"streaming\")]]]"
 
-let result ?(completeness = Common.Complete) ?(degraded = false) () =
-  {
-    Common.answers = [];
-    metrics = Joins.Exec.fresh_metrics ();
-    relaxations_evaluated = 1;
-    passes = 1;
-    restarts = 0;
-    completeness;
-    degraded;
-  }
+(* A result-tier value of a known size, for the LRU mechanics. *)
+type Qcache.ext += Blob of string
+
+let store_blob c key = Qcache.store_ext c key (Blob key) ~size:192
+let resident c key = Qcache.find_ext c key = Some (Blob key)
 
 let with_failpoint name f =
   (match Failpoint.activate name with
@@ -34,9 +29,9 @@ let with_failpoint name f =
   | Error msg -> Alcotest.fail msg);
   Fun.protect ~finally:(fun () -> Failpoint.deactivate name) f
 
-let run_ok ?algorithm ?cache ?k env query =
+let run_ok ?algorithm ?budget ?cache ?k env query =
   let k = Option.value k ~default:5 in
-  match Flexpath.run ?algorithm ?cache env ~k query with
+  match Flexpath.run ?algorithm ?budget ?cache env ~k query with
   | Ok r -> r
   | Error e -> Alcotest.fail (Flexpath.Error.to_string e)
 
@@ -44,61 +39,80 @@ let run_ok ?algorithm ?cache ?k env query =
 (* LRU mechanics *)
 
 let test_lru_eviction_at_byte_bound () =
-  (* An empty-answer entry is estimated at 196 bytes (namespaced key
-     "A:kN" + the fixed result overhead), so a 500-byte budget holds
-     exactly two. *)
+  (* A 192-byte value is charged 196 bytes (namespaced key "X:kN" on
+     top), so a 500-byte budget holds exactly two. *)
   let c = Qcache.create ~max_bytes:500 () in
-  Qcache.store_answer c "k1" (result ());
-  Qcache.store_answer c "k2" (result ());
+  store_blob c "k1";
+  store_blob c "k2";
   let ctr = Qcache.counters c in
   check_int "two resident" 2 ctr.Qcache.entries;
   check_int "no evictions yet" 0 ctr.Qcache.evictions;
   check_bool "bytes within budget" true (ctr.Qcache.bytes <= 500);
   (* Touch k1 so k2 becomes the least recently used. *)
-  check_bool "k1 hit" true (Option.is_some (Qcache.find_answer c "k1"));
-  Qcache.store_answer c "k3" (result ());
+  check_bool "k1 hit" true (resident c "k1");
+  store_blob c "k3";
   let ctr = Qcache.counters c in
   check_int "one eviction at the byte bound" 1 ctr.Qcache.evictions;
   check_int "still two resident" 2 ctr.Qcache.entries;
   check_bool "bytes still within budget" true (ctr.Qcache.bytes <= 500);
-  check_bool "LRU victim evicted" true (Qcache.find_answer c "k2" = None);
-  check_bool "recently used survives" true (Option.is_some (Qcache.find_answer c "k1"));
-  check_bool "new entry resident" true (Option.is_some (Qcache.find_answer c "k3"))
+  check_bool "LRU victim evicted" true (Qcache.find_ext c "k2" = None);
+  check_bool "recently used survives" true (resident c "k1");
+  check_bool "new entry resident" true (resident c "k3")
 
 let test_oversized_entry_refused () =
   (* An entry that alone exceeds the whole budget must not flush the
-     cache to make room it can never get. *)
+     cache to make room it can never get — in either tier. *)
   let c = Qcache.create ~max_bytes:250 () in
-  Qcache.store_answer c "small" (result ());
-  let answer = { Flexpath.Answer.node = 1; sscore = 1.0; kscore = 0.0; dropped_predicates = 0 } in
-  let big = { (result ()) with Common.answers = List.init 8 (fun _ -> answer) } in
-  Qcache.store_answer c "big" big;
+  store_blob c "small";
+  Qcache.store_ext c "big" (Blob "big") ~size:704;
+  let env = make_env ~count:4 () in
+  let plan = Common.build_plan env (q ()) in
+  Qcache.store_plan c "plan" plan;
   let ctr = Qcache.counters c in
-  check_bool "oversized entry refused" true (Qcache.find_answer c "big" = None);
-  check_bool "resident entry untouched" true (Option.is_some (Qcache.find_answer c "small"));
+  check_bool "oversized result refused" true (Qcache.find_ext c "big" = None);
+  check_bool "oversized plan refused" true (Qcache.find_plan c "plan" = None);
+  check_bool "resident entry untouched" true (resident c "small");
   check_int "no evictions" 0 ctr.Qcache.evictions
 
 (* ------------------------------------------------------------------ *)
-(* Cacheability *)
+(* Cacheability, through [Flexpath.run ?cache]: a run whose result is
+   not stored leaves only its plan resident, and its repeat reaches the
+   executor again (the armed [exec.run] failpoint fires). *)
+
+let check_stored ~what ~stored ?algorithm ?budget env query ~k =
+  let cache = Qcache.create () in
+  let r = run_ok ?algorithm ?budget ~cache ~k env query in
+  check_int (what ^ ": resident entries") (if stored then 2 else 1)
+    (Qcache.counters cache).Qcache.entries;
+  with_failpoint "exec.run" (fun () ->
+      match (Flexpath.run ?algorithm ?budget ~cache env ~k query, stored) with
+      | Ok hit, true -> check_bool (what ^ ": hit equals the run") true (hit = r)
+      | Error (Flexpath.Error.Fault "exec.run"), false -> ()
+      | Ok _, false -> Alcotest.failf "%s: repeat was served from the cache" what
+      | Error e, _ -> Alcotest.failf "%s: %s" what (Flexpath.Error.to_string e));
+  r
 
 let test_truncated_never_cached () =
-  let c = Qcache.create () in
-  let truncated =
-    result ~completeness:(Common.Truncated { reason = Flexpath.Guard.Steps; score_bound = 1.0 }) ()
-  in
-  check_bool "not cacheable" false (Qcache.cacheable truncated);
-  Qcache.store_answer c "t" truncated;
-  check_bool "store was a no-op" true (Qcache.find_answer c "t" = None);
-  check_int "no entry" 0 (Qcache.counters c).Qcache.entries
+  (* A one-tuple budget trips inside the first pass. *)
+  let budget = Flexpath.Guard.budget ~tuple_budget:1 () in
+  let r = check_stored ~what:"truncated" ~stored:false ~budget (make_env ()) (q ()) ~k:5 in
+  check_bool "fixture is truncated" true
+    (match r.Common.completeness with Common.Truncated _ -> true | Common.Complete -> false)
 
 let test_degraded_never_cached () =
-  let c = Qcache.create () in
-  let degraded = result ~degraded:true () in
-  check_bool "not cacheable" false (Qcache.cacheable degraded);
-  Qcache.store_answer c "d" degraded;
-  check_bool "store was a no-op" true (Qcache.find_answer c "d" = None);
-  Qcache.store_answer c "ok" (result ());
-  check_bool "complete result cached" true (Option.is_some (Qcache.find_answer c "ok"))
+  (* On this auction document SSO's estimator underestimates Q2, so a
+     zero restart cap falls back to DPO (the fixture of test_faults.ml's
+     restart-cap case). *)
+  let env = Env.make (Xmark.Auction.doc ~seed:22 ~items:100 ()) in
+  let q2 = Xpath.parse_exn "//item[./description/parlist and ./mailbox/mail/text]" in
+  let budget = Flexpath.Guard.budget ~restart_cap:0 () in
+  let r =
+    check_stored ~what:"degraded" ~stored:false ~algorithm:Flexpath.SSO ~budget env q2 ~k:20
+  in
+  check_bool "fixture is degraded" true r.Common.degraded;
+  let r = check_stored ~what:"uncapped" ~stored:true ~algorithm:Flexpath.SSO env q2 ~k:20 in
+  check_bool "uncapped run is complete and not degraded" true
+    (r.Common.completeness = Common.Complete && not r.Common.degraded)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end transparency *)
