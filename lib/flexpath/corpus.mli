@@ -29,6 +29,13 @@
     only on the query's predicate weights, so the bound for a lost
     shard needs no data from it.
 
+    Every write is one routed write: {!ingest} is an [Add] WAL record
+    (with an anonymous [doc-N] id minted here, the only place that
+    mints one) and {!delete} a [Delete]; each takes the routed shard's
+    writer lock, drains its ship queues, commits on the primary with
+    {!Ingest}'s durability contract, ships to the followers and
+    publishes a new view.
+
     {b Replication} (DESIGN.md §4l).  With [replicas = R] each shard
     is a replica {e set}: R full stores, each with its own snapshot
     and WAL, kept in sync by WAL shipping — the primary's acked
@@ -92,8 +99,9 @@ val open_corpus :
     after which a {e replica} is quarantined until {!reload}.
     [probe_domains > 0] opens a {!Taskpool} of that many domains
     (capped at [shards - 1]) and {!query} scatters its shard probes
-    across them plus the calling domain; the default [0] keeps the
-    scatter strictly sequential.  Healthy merged answers are
+    across them plus the calling domain; the default [0] opens a pool
+    of no domains, which runs every probe in the calling domain in
+    shard order (the sequential scatter).  Healthy merged answers are
     byte-identical either way — the threshold-algorithm floor is a
     sound monotone cutoff, so a concurrently-read stale floor only
     reduces pruning.  [probation_ms] scopes each store's read-only

@@ -258,21 +258,6 @@ let apply_record corpus r =
     | Ok tree -> add corpus ~id tree)
   | Wal.Delete { id } -> if mem corpus id then remove corpus ~id else Ok corpus
 
-(* Smallest auto id suffix past every existing [doc-N] id — computed
-   from the corpus itself so a restart assigns the same ids a
-   continuous run would. *)
-let next_auto_of ids =
-  List.fold_left
-    (fun acc id ->
-      match
-        if String.length id > 4 && String.sub id 0 4 = "doc-" then
-          int_of_string_opt (String.sub id 4 (String.length id - 4))
-        else None
-      with
-      | Some n when n >= acc -> n + 1
-      | _ -> acc)
-    0 ids
-
 let default_probation_ms = 2_000.0
 
 let open_store ?weights ?hierarchy ?(limits = default_limits)
@@ -380,76 +365,40 @@ let note_disk st = function
     ok
   | other -> other
 
-(* Apply first (building the successor corpus; the served one is
-   untouched), then log, then commit and ack — an error anywhere
-   leaves both the store and the log describing exactly the acked
-   prefix. *)
-let ingest st ?id xml =
+(* The one commit every write goes through: build the successor
+   corpus (the served one is untouched), then log [record], then
+   install the successor and ack — an error anywhere leaves both the
+   store and the log describing exactly the acked prefix. *)
+let commit st record successor =
   match readonly_gate st with
   | Error e -> Error e
   | Ok () -> (
-    match parse_doc ~limits:st.limits xml with
-    | Error e -> Error e
-    | Ok tree -> (
-      let id =
-        match id with
-        | Some id -> check_id id
-        | None -> Ok (Printf.sprintf "doc-%d" (next_auto_of (ids st.corpus)))
-      in
-      match id with
-      | Error e -> Error e
-      | Ok id -> (
-        match add st.corpus ~id tree with
-        | Error e -> Error e
-        | exception Failpoint.Injected p -> Error (Error.Fault p)
-        | Ok corpus -> (
-          match note_disk st (Wal.append st.wal (Wal.Add { id; xml })) with
-          | Error e -> Error e
-          | Ok () ->
-            st.corpus <- corpus;
-            record_acked st;
-            Ok id))))
-
-let delete st ~id =
-  match readonly_gate st with
-  | Error e -> Error e
-  | Ok () -> (
-    match
-      if not (mem st.corpus id) then
-        Error
-          (Error.Config_error { what = "document id"; message = Printf.sprintf "no document %S" id })
-      else remove st.corpus ~id
-    with
-    | Error e -> Error e
-    | Ok corpus -> (
-      match note_disk st (Wal.append st.wal (Wal.Delete { id })) with
-      | Error e -> Error e
-      | Ok () ->
-        st.corpus <- corpus;
-        record_acked st;
-        Ok ()))
-
-(* Replication: apply one already-acked WAL record shipped from a
-   primary.  Same apply-then-log-then-commit order as [ingest]/[delete]
-   — the follower's own WAL and fsync give it independent durability —
-   but no parse budget (the primary already enforced it) and deletes of
-   unknown ids are no-ops (replay semantics, not user requests), so a
-   follower converges to the primary's acked set no matter where its
-   own recovery left off. *)
-let apply_shipped st r =
-  match readonly_gate st with
-  | Error e -> Error e
-  | Ok () -> (
-    match apply_record st.corpus r with
+    match successor st.corpus with
     | Error e -> Error e
     | exception Failpoint.Injected p -> Error (Error.Fault p)
     | Ok corpus -> (
-      match note_disk st (Wal.append st.wal r) with
+      match note_disk st (Wal.append st.wal record) with
       | Error e -> Error e
       | Ok () ->
         st.corpus <- corpus;
         record_acked st;
         Ok ()))
+
+let ingest st ~id xml =
+  commit st (Wal.Add { id; xml }) (fun corpus ->
+      match parse_doc ~limits:st.limits xml with
+      | Error e -> Error e
+      | Ok tree -> add corpus ~id tree)
+
+let delete st ~id = commit st (Wal.Delete { id }) (fun corpus -> remove corpus ~id)
+
+(* Replication: commit one already-acked WAL record shipped from a
+   primary — the follower's own WAL and fsync give it independent
+   durability — but with no parse budget (the primary already enforced
+   it) and deletes of unknown ids as no-ops (replay semantics, not user
+   requests), so a follower converges to the primary's acked set no
+   matter where its own recovery left off. *)
+let apply_shipped st r = commit st r (fun corpus -> apply_record corpus r)
 
 (* Durable compaction: snapshot the whole corpus atomically, then — and
    only then — truncate the log.  The [merge_publish] failpoint sits in

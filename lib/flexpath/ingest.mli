@@ -19,8 +19,14 @@
     after the snapshot rename is durable; {!open_store} replays the
     log tail over the snapshot, so a crash at any byte recovers to
     exactly the acknowledged document set (WAL replay is idempotent:
-    an [Add] of an existing id is an upsert).  See DESIGN.md §4h for
-    the ack/durability contract and crash matrix.
+    an [Add] of an existing id is an upsert).  Every store write —
+    {!ingest}, {!delete}, {!apply_shipped} — goes through one commit
+    (read-only gate, successor corpus, WAL append + fsync, install),
+    and differs from the others only in how it builds the successor;
+    an [Error] from any of them means the write is in neither the
+    corpus nor the log.  The store never mints ids; anonymous ones
+    come from {!Corpus}.  See DESIGN.md §4h for the ack/durability
+    contract and crash matrix.
 
     Corpora are immutable values; a store is single-writer mutable
     state ({!Corpus} serializes each shard's writers and publishes
@@ -136,19 +142,14 @@ val open_store :
     snapshot carries its own index and hierarchy).
     [probation_ms] scopes the read-only degrade (below). *)
 
-val next_auto_of : string list -> int
-(** The smallest [N] past every [doc-<n>] id in the list: the suffix of
-    the next auto-assigned id. *)
-
-val ingest : store -> ?id:string -> string -> (string, Error.t) result
-(** Parse under the store's budget, apply, WAL-append, fsync, commit;
-    returns the document id (auto-assigned [doc-N] when omitted).  An
-    [Error] means the write is in neither the corpus nor the log. *)
+val ingest : store -> id:string -> string -> (unit, Error.t) result
+(** Upsert document [id]: parse under the store's budget, then {!add}. *)
 
 val delete : store -> id:string -> (unit, Error.t) result
+(** {!remove}: [Config_error] for unknown ids. *)
 
 val apply_shipped : store -> Wal.record -> (unit, Error.t) result
-(** Replication: apply one already-acked WAL record shipped from a
+(** Replication: commit one already-acked WAL record shipped from a
     primary, appending it to this store's own WAL (fsync included) so
     the follower is independently durable.  Unlike {!ingest} there is
     no parse budget (the primary enforced it at ack time) and a

@@ -169,26 +169,6 @@ type v1_payload = {
 
 let v1_magic = magic ^ "\x01"
 
-let save_v1 (env : Env.t) path =
-  try
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc v1_magic;
-        Marshal.to_channel oc
-          {
-            v1_doc = Xmldom.Doc.to_portable env.doc;
-            v1_index = env.index;
-            v1_stats = env.stats;
-            v1_hierarchy = env.hierarchy;
-          }
-          []);
-    Ok ()
-  with
-  | Sys_error message -> Error (Error.Io_error { path = ""; message })
-  | Failure message -> Error (Error.Io_error { path; message })
-
 let load_v1 ~weights path data =
   let ofs = String.length v1_magic in
   if String.length data < ofs + Marshal.header_size then

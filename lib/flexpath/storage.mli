@@ -84,7 +84,7 @@ val verify : string -> (report, Error.t) result
 
 val pp_report : Format.formatter -> report -> unit
 
-(** {2 Format constants and legacy} *)
+(** {2 Format constants} *)
 
 val magic : string
 (** First 12 bytes of every snapshot, any version: ["FLEXPATH-ENV"].
@@ -92,8 +92,3 @@ val magic : string
 
 val format_version : int
 (** The version [save] writes: 2. *)
-
-val save_v1 : Env.t -> string -> (unit, Error.t) result
-(** Writes the deprecated v1 format (bare Marshal, no checksums, no
-    atomicity).  Kept only so migration and corruption tests can
-    fabricate legacy files; do not use in new code. *)

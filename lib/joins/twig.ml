@@ -8,13 +8,15 @@ module Query = Tpq.Query
 let applicable enc = Encoded.conjunctive enc
 
 (* Per-domain scratch for parent stamping: a generation-stamped column
-   over element ids, grown to the largest document seen by this domain
-   and reused across filter calls — re-allocating megabytes per query
-   makes every call pay major-GC marking work proportional to the
-   resident heap.  Bumping the generation invalidates every previous
-   mark (from any earlier call, even on another document) at once, so
-   the column is never cleared.  Safe per-domain: a filter run never
-   yields, so two queries on one domain cannot interleave mid-call. *)
+   over element ids, grown to cover the largest document seen by this
+   domain and reused across filter calls — re-allocating megabytes per
+   query makes every call pay major-GC marking work proportional to the
+   resident heap.  It grows to at least twice its length, so a corpus
+   growing by appends reallocates it O(log size) times, not on every
+   write.  Bumping the generation invalidates every previous mark (from
+   any earlier call, even on another document) at once, so the column
+   is never cleared.  Safe per-domain: a filter run never yields, so
+   two queries on one domain cannot interleave mid-call. *)
 type scratch = { mutable col : int array; mutable gen : int }
 
 let scratch_key = Domain.DLS.new_key (fun () -> { col = [||]; gen = 0 })
@@ -77,7 +79,7 @@ let filter doc ~anchors ~candidates ~tick =
   done;
   let scr = Domain.DLS.get scratch_key in
   if !any_child_edge && Array.length scr.col < Doc.size doc then
-    scr.col <- Array.make (Doc.size doc) 0;
+    scr.col <- Array.make (max (Doc.size doc) (2 * Array.length scr.col)) 0;
   let stamp = scr.col in
   let next_gen () =
     scr.gen <- scr.gen + 1;

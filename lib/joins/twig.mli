@@ -1,5 +1,5 @@
 (** Holistic twig filtering over per-spec sorted posting streams — the
-    stream phase of the holistic physical operator (ROADMAP item 2;
+    stream phase of the holistic physical operator (DESIGN.md §4k;
     TwigStack family, "A Survey of XML Tree Patterns").
 
     Given one pre-order-sorted candidate array per variable spec (the

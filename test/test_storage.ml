@@ -247,54 +247,51 @@ let test_version_skew () =
           | Error e -> Alcotest.failf "expected Version_skew, got %s" (Error.to_string e)
           | Ok _ -> Alcotest.fail "future version accepted"))
 
+(* The checked-in v1 fixture (see "Snapshots written by an earlier
+   build" below) is the only v1 file: nothing writes the format any
+   more. *)
 let test_v1_migration () =
-  let path = temp_name ".env" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      (match Storage.save_v1 (Lazy.force fixture_env) path with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "save_v1 failed: %s" (Error.to_string e));
-      (match Storage.load path with
-      | Ok (env, Storage.Migrated { version }) ->
-        check_int "migrated from v1" 1 version;
-        check_bool "v1 answers preserved" true (answer_keys env = Lazy.force fixture_keys);
-        check_bool "v1 hierarchy preserved" true
-          (Tpq.Hierarchy.supertype env.Env.hierarchy "algorithm" = Some "section")
-      | Ok (_, o) -> Alcotest.failf "expected Migrated, got %s" (Storage.outcome_to_string o)
-      | Error e -> Alcotest.failf "v1 load failed: %s" (Error.to_string e));
-      (match Storage.verify path with
-      | Ok report ->
-        check_int "v1 version reported" 1 report.Storage.version;
-        check_bool "v1 payload deserializes" true report.Storage.intact;
-        check_bool "v1 is not recoverable" false report.Storage.recoverable
-      | Error e -> Alcotest.failf "v1 verify failed: %s" (Error.to_string e));
-      (* Truncated v1 payloads are typed errors, not crashes. *)
-      let data = read_file path in
-      List.iter
-        (fun cut ->
-          with_bytes (String.sub data 0 cut) (fun p ->
-              match Storage.load p with
-              | exception e -> Alcotest.failf "truncated v1: raised %s" (Printexc.to_string e)
-              | Error (Error.Snapshot_error _) -> ()
-              | Error e -> Alcotest.failf "truncated v1: %s" (Error.to_string e)
-              | Ok _ -> Alcotest.fail "truncated v1 accepted"))
-        [ 5; 13; 14; 13 + 19; String.length data / 2; String.length data - 1 ];
-      (* A v1 file with bytes appended is not silently accepted either. *)
-      with_bytes (data ^ "junk") (fun p ->
+  let path = "fixtures/articles-v1.env" in
+  let fresh = Env.make ~hierarchy (Xmark.Articles.doc ~seed:7 ~count:6 ()) in
+  (match Storage.load path with
+  | Ok (env, Storage.Migrated { version }) ->
+    check_int "migrated from v1" 1 version;
+    check_bool "v1 answers preserved" true (answer_keys env = answer_keys fresh);
+    check_bool "v1 hierarchy preserved" true
+      (Tpq.Hierarchy.supertype env.Env.hierarchy "algorithm" = Some "section")
+  | Ok (_, o) -> Alcotest.failf "expected Migrated, got %s" (Storage.outcome_to_string o)
+  | Error e -> Alcotest.failf "v1 load failed: %s" (Error.to_string e));
+  (match Storage.verify path with
+  | Ok report ->
+    check_int "v1 version reported" 1 report.Storage.version;
+    check_bool "v1 payload deserializes" true report.Storage.intact;
+    check_bool "v1 is not recoverable" false report.Storage.recoverable
+  | Error e -> Alcotest.failf "v1 verify failed: %s" (Error.to_string e));
+  (* Truncated v1 payloads are typed errors, not crashes. *)
+  let data = read_file path in
+  List.iter
+    (fun cut ->
+      with_bytes (String.sub data 0 cut) (fun p ->
           match Storage.load p with
-          | Error (Error.Snapshot_error { corruption = Error.Trailing_garbage { bytes = 4 }; _ })
-            -> ()
-          | Error e -> Alcotest.failf "v1 trailing: %s" (Error.to_string e)
-          | Ok _ -> Alcotest.fail "v1 trailing garbage accepted"))
+          | exception e -> Alcotest.failf "truncated v1: raised %s" (Printexc.to_string e)
+          | Error (Error.Snapshot_error _) -> ()
+          | Error e -> Alcotest.failf "truncated v1: %s" (Error.to_string e)
+          | Ok _ -> Alcotest.fail "truncated v1 accepted"))
+    [ 5; 13; 14; 13 + 19; String.length data / 2; String.length data - 1 ];
+  (* A v1 file with bytes appended is not silently accepted either. *)
+  with_bytes (data ^ "junk") (fun p ->
+      match Storage.load p with
+      | Error (Error.Snapshot_error { corruption = Error.Trailing_garbage { bytes = 4 }; _ }) -> ()
+      | Error e -> Alcotest.failf "v1 trailing: %s" (Error.to_string e)
+      | Ok _ -> Alcotest.fail "v1 trailing garbage accepted")
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots written by an earlier build *)
 
 (* [fixtures/articles-v2.env] and [fixtures/articles-v1.env] were
-   written by [Storage.save] and [Storage.save_v1] of the build before
-   [Doc.t] gained its derived sibling-rank column, over
-   [Xmark.Articles.doc ~seed:7 ~count:6] with the hierarchy above.
+   written by [Storage.save] and the since-deleted [Storage.save_v1] of
+   the build before [Doc.t] gained its derived sibling-rank column,
+   over [Xmark.Articles.doc ~seed:7 ~count:6] with the hierarchy above.
    [Marshal] does not check types, so only files from another build
    show whether today's loader still reads yesterday's bytes; never
    regenerate them with the current code. *)

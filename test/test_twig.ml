@@ -404,6 +404,46 @@ let test_corpus_shard_loss_differential () =
   check_string "identical partial merge" (corpus_fingerprint binary) (corpus_fingerprint auto)
 
 (* ------------------------------------------------------------------ *)
+(* Scratch column growth *)
+
+(* A corpus that grows by appends hands the holistic filter a slightly
+   larger document on nearly every query.  The per-domain stamp column
+   must grow geometrically, or each of those queries reallocates the
+   whole column.  A fresh domain starts with an empty column, and
+   [Gc.allocated_bytes] counts the calling domain's allocations only. *)
+let test_stamp_column_growth () =
+  let doc_of fillers =
+    Doc.of_tree
+      (Xml.Element
+         ( "r",
+           [],
+           List.init fillers (fun _ -> Xml.Element ("x", [], []))
+           @ [ Xml.Element ("a", [], [ Xml.Element ("b", [], []) ]) ] ))
+  in
+  let inputs =
+    List.init 50 (fun i ->
+        let d = doc_of (2000 + (4 * i)) in
+        (d, [| Doc.by_tag_name d "a"; Doc.by_tag_name d "b" |]))
+  in
+  let largest = List.fold_left (fun acc (d, _) -> max acc (Doc.size d)) 0 inputs in
+  let anchors = [| None; Some (0, Query.Child) |] in
+  let allocated =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let before = Gc.allocated_bytes () in
+           List.iter
+             (fun (d, candidates) ->
+               let out = Twig.filter d ~anchors ~candidates ~tick:ignore in
+               assert (Array.length out.(1) = 1))
+             inputs;
+           Gc.allocated_bytes () -. before))
+  in
+  let column = float_of_int (largest * (Sys.word_size / 8)) in
+  if allocated > 8.0 *. column then
+    Alcotest.failf "50 growing documents (largest %d elements) allocated %.0f bytes: %.1f columns"
+      largest allocated (allocated /. column)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "twig"
@@ -416,6 +456,7 @@ let () =
             test_exec_metrics_and_fallback;
           Alcotest.test_case "fast path keeps the stage schedule" `Quick
             test_fast_path_preserves_failpoint_schedule;
+          Alcotest.test_case "stamp column grows geometrically" `Quick test_stamp_column_growth;
         ] );
       ( "algorithms",
         [
