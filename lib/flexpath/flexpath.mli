@@ -48,6 +48,7 @@ module Qcache = Qcache
 module Wal = Wal
 module Ingest = Ingest
 module Corpus = Corpus
+module Taskpool = Taskpool
 
 exception Failed of Error.t
 (** Raised only by the [_exn] conveniences ({!run_exn}, {!top_k}). *)

@@ -7,16 +7,19 @@
 
    [run] is a structured fork-join: the caller donates its own domain
    to the work instead of blocking idle, so a pool of [n] domains
-   gives [n+1]-way parallelism and — crucially — a pool of zero
-   domains degrades to plain sequential execution with no deadlock
-   and no waiting.  Tasks never return values through the pool;
-   callers communicate through closures over their own (locked)
-   state, which keeps this module free of any marshalling policy.
+   gives [n+1]-way parallelism.  A pool of zero domains queues
+   nothing: [run] is the caller's own loop over its batch, so
+   concurrent callers never run each other's tasks or wait on each
+   other.  Tasks never return values through the pool; callers
+   communicate through closures over their own (locked) state, which
+   keeps this module free of any marshalling policy.
 
    An exception escaping a task is caught, remembered, and re-raised
    from [run] in the caller's domain after every task of that batch
    has settled — the batch always joins fully, so caller-side cleanup
-   code never races a still-running task. *)
+   code never races a still-running task.  In the zero-domain loop
+   nothing else is running, so the first exception propagates at once
+   and the batch's later tasks do not run. *)
 
 type task = { thunk : unit -> unit; batch : batch }
 
@@ -80,9 +83,10 @@ let create ~domains =
 let size pool = List.length pool.domains
 
 let run pool thunks =
-  match thunks with
-  | [] -> ()
-  | thunks ->
+  match (pool.domains, thunks) with
+  | _, [] -> ()
+  | [], thunks -> List.iter (fun thunk -> thunk ()) thunks
+  | _ :: _, thunks ->
     let batch = { remaining = List.length thunks; failure = None } in
     Mutex.lock pool.lock;
     List.iter

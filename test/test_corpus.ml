@@ -36,6 +36,7 @@ module Failpoint = Flexpath.Failpoint
 module Answer = Flexpath.Answer
 module Ranking = Flexpath.Ranking
 module Guard = Flexpath.Guard
+module Taskpool = Flexpath.Taskpool
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -256,6 +257,56 @@ let test_parallel_scatter_equals_sequential () =
         (fun () ->
           check_int "parallel scatter" (min 3 (shards - 1) + 1) (Corpus.probe_parallelism c);
           check_string "parallel scatter == sequential" fp_sequential (corpus_fingerprint c)))
+
+(* The default scatter pool has no domains, and a writable server's
+   workers all query through it.  Such a pool must be each caller's own
+   loop: domain A's batch is held (its first thunk waits for B to
+   return, its second for a release) while the main domain runs batch
+   B.  B must return with A still held, and every thunk must run in
+   its own caller's domain — a shared queue would hand A's held thunk
+   to B.  The first exception ends the loop: later thunks do not run. *)
+let test_zero_domain_pool_runs_in_caller () =
+  let pool = Taskpool.create ~domains:0 in
+  let wait_for flag =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done
+  in
+  let a_held = Atomic.make false and b_returned = Atomic.make false in
+  let release = Atomic.make false and a_returned = Atomic.make false in
+  let ran_in = Array.make 3 (-1) in
+  let here i = ran_in.(i) <- (Domain.self () :> int) in
+  let a =
+    Domain.spawn (fun () ->
+        Taskpool.run pool
+          [
+            (fun () ->
+              here 0;
+              Atomic.set a_held true;
+              wait_for b_returned);
+            (fun () ->
+              here 1;
+              wait_for release);
+          ];
+        Atomic.set a_returned true;
+        (Domain.self () :> int))
+  in
+  wait_for a_held;
+  Taskpool.run pool [ (fun () -> here 2) ];
+  Atomic.set b_returned true;
+  check_bool "B returned while A is held" false (Atomic.get a_returned);
+  Atomic.set release true;
+  let a_domain = Domain.join a in
+  check_int "A's first thunk ran in A" a_domain ran_in.(0);
+  check_int "A's held thunk ran in A" a_domain ran_in.(1);
+  check_int "B's thunk ran in B" (Domain.self () :> int) ran_in.(2);
+  let later = ref false in
+  (match Taskpool.run pool [ (fun () -> raise Exit); (fun () -> later := true) ] with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Exit -> ());
+  check_bool "no thunk runs after the exception" false !later;
+  Taskpool.shutdown pool
 
 let test_upsert_delete_equivalence () =
   (* Upserts move documents to the end of the global arrival order and
@@ -894,6 +945,8 @@ let () =
             test_sharded_equals_plain;
           Alcotest.test_case "parallel scatter == sequential scatter" `Slow
             test_parallel_scatter_equals_sequential;
+          Alcotest.test_case "zero-domain pool runs each batch in its caller" `Quick
+            test_zero_domain_pool_runs_in_caller;
           Alcotest.test_case "upsert/delete keeps equivalence" `Slow test_upsert_delete_equivalence;
           Alcotest.test_case "auto ids route and persist" `Quick test_auto_ids_route_and_persist;
           Alcotest.test_case "threshold-algorithm skip is exact" `Quick test_threshold_skip_exact;
