@@ -89,12 +89,12 @@ type plan = {
          entries safely (a racing recompute yields an equivalent value) *)
 }
 
-let build_plan env ?(max_steps = 32) q =
+let build_plan env q =
   Failpoint.hit "chain.build";
   let penv = Env.penalty_env env q in
   (* Refuse before building a chain no evaluation could use. *)
   Joins.Exec.check_capacity penv;
-  let chain = Array.of_list (Relax.Space.sequence ~max_steps penv) in
+  let chain = Array.of_list (Relax.Space.sequence ~max_steps:32 penv) in
   Log.debug (fun m ->
       m "relaxation chain: %d entries, scores %.3f .. %.3f" (Array.length chain)
         chain.(0).Relax.Space.score

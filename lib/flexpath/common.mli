@@ -94,9 +94,9 @@ type plan = {
       (** One slot per chain entry; filled by {!encoded_entry}. *)
 }
 
-val build_plan : Env.t -> ?max_steps:int -> Tpq.Query.t -> plan
+val build_plan : Env.t -> Tpq.Query.t -> plan
 (** The penalty environment and the greedy relaxation chain
-    ({!Relax.Space.sequence}, [max_steps] default 32, original query
+    ({!Relax.Space.sequence}, at most 32 entries, original query
     first), packaged as a plan; no join plan is compiled yet.  Hits the
     ["chain.build"] failpoint first.
     @raise Joins.Exec.Capacity_exceeded before building the chain when

@@ -3,8 +3,8 @@
    polymorphic default. *)
 module Itbl = Hashtbl.Make (Int)
 
-let run ?max_steps ?(guard = Guard.none) ?metrics ?plan ?floor ?executor env ~scheme ~k q =
-  let plan = match plan with Some p -> p | None -> Common.build_plan env ?max_steps q in
+let run ?(guard = Guard.none) ?metrics ?plan ?floor ?executor env ~scheme ~k q =
+  let plan = match plan with Some p -> p | None -> Common.build_plan env q in
   let penv = plan.Common.penv in
   let metrics = match metrics with Some m -> m | None -> Joins.Exec.fresh_metrics () in
   let cancel = Guard.cancel_fn guard in

@@ -14,7 +14,6 @@
     exhausted. *)
 
 val run :
-  ?max_steps:int ->
   ?guard:Guard.t ->
   ?metrics:Joins.Exec.metrics ->
   ?plan:Common.plan ->
@@ -29,13 +28,12 @@ val run :
     lets a caller that already accumulated executor metrics (the
     SSO/Hybrid fallback path) keep one running total; [plan] reuses a
     previously built {!Common.plan} for an isomorphic query (the cached
-    path) instead of rebuilding chain and penalties, in which case
-    [max_steps] is ignored.  [floor], consulted at each pass boundary,
-    is an external lower bound on the k-th total score (the
-    scatter-gather merge passes the global top-K floor): the chain walk
-    stops as soon as [max(local kth, floor ())] meets [unseen_bound],
-    which is sound because both are lower bounds on the true global
-    k-th score.  [executor] selects the physical operator per pass
+    path) instead of rebuilding chain and penalties.  [floor],
+    consulted at each pass boundary, is an external lower bound on the
+    k-th total score (the scatter-gather merge passes the global top-K
+    floor): the chain walk stops as soon as [max(local kth, floor ())]
+    meets [unseen_bound], which is sound because both are lower bounds
+    on the true global k-th score.  [executor] selects the physical operator per pass
     (default [Auto]: holistic twig operator on conjunctive chain
     entries, binary pipeline otherwise); results are byte-identical
     across executors. *)

@@ -40,11 +40,11 @@ let cacheable (r : Common.result) =
 
 let result_cost (r : Common.result) = 192 + (64 * List.length r.Common.answers)
 
-let run ?(algorithm = Hybrid) ?(scheme = Ranking.Structure_first) ?max_steps ?budget ?cache
+let run ?(algorithm = Hybrid) ?(scheme = Ranking.Structure_first) ?budget ?cache
     ?(executor = Joins.Exec.Auto) env ~k q =
   let keys =
     lazy
-      (let pk = Qcache.plan_key ~algorithm ~scheme ?max_steps q in
+      (let pk = Qcache.plan_key ~algorithm ~scheme q in
        (pk, Qcache.answer_key ~plan_key:pk ~k ~budget ~executor))
   in
   match Option.bind cache (fun c -> Qcache.find_ext c (snd (Lazy.force keys))) with
@@ -60,14 +60,14 @@ let run ?(algorithm = Hybrid) ?(scheme = Ranking.Structure_first) ?max_steps ?bu
           match Qcache.find_plan c pk with
           | Some p -> Some p
           | None ->
-            let p = Common.build_plan env ?max_steps q in
+            let p = Common.build_plan env q in
             Qcache.store_plan c pk p;
             Some p)
       in
       match algorithm with
-      | DPO -> Dpo.run ?max_steps ?plan ~guard ~executor env ~scheme ~k q
-      | SSO -> Sso.run ?max_steps ?plan ~guard ~executor env ~scheme ~k q
-      | Hybrid -> Hybrid.run ?max_steps ?plan ~guard ~executor env ~scheme ~k q
+      | DPO -> Dpo.run ?plan ~guard ~executor env ~scheme ~k q
+      | SSO -> Sso.run ?plan ~guard ~executor env ~scheme ~k q
+      | Hybrid -> Hybrid.run ?plan ~guard ~executor env ~scheme ~k q
     in
     match eval () with
     | result ->
@@ -81,21 +81,21 @@ let run ?(algorithm = Hybrid) ?(scheme = Ranking.Structure_first) ?max_steps ?bu
       Error (Error.Capacity { what; limit; actual })
     | exception Failpoint.Injected point -> Error (Error.Fault point))
 
-let run_exn ?algorithm ?scheme ?max_steps ?budget ?cache ?executor env ~k q =
-  match run ?algorithm ?scheme ?max_steps ?budget ?cache ?executor env ~k q with
+let run_exn ?algorithm ?scheme ?budget ?cache ?executor env ~k q =
+  match run ?algorithm ?scheme ?budget ?cache ?executor env ~k q with
   | Ok result -> result
   | Error e -> raise (Failed e)
 
-let top_k ?algorithm ?scheme ?max_steps ?budget ?cache ?executor env ~k q =
-  (run_exn ?algorithm ?scheme ?max_steps ?budget ?cache ?executor env ~k q).Common.answers
+let top_k ?algorithm ?scheme ?budget ?cache ?executor env ~k q =
+  (run_exn ?algorithm ?scheme ?budget ?cache ?executor env ~k q).Common.answers
 
-let top_k_xpath ?algorithm ?scheme ?max_steps ?budget ?cache ?executor env ~k s =
+let top_k_xpath ?algorithm ?scheme ?budget ?cache ?executor env ~k s =
   match Tpq.Xpath.parse s with
   | Error { offset; message } -> Error (Error.Query_error { offset; message })
   | Ok q ->
     Result.map
       (fun r -> r.Common.answers)
-      (run ?algorithm ?scheme ?max_steps ?budget ?cache ?executor env ~k q)
+      (run ?algorithm ?scheme ?budget ?cache ?executor env ~k q)
 
 let exact_answers (env : Env.t) q =
   Tpq.Semantics.answers ~hierarchy:env.hierarchy env.doc env.index q

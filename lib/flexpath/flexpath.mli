@@ -62,7 +62,6 @@ val all_algorithms : algorithm list
 val run :
   ?algorithm:algorithm ->
   ?scheme:Ranking.scheme ->
-  ?max_steps:int ->
   ?budget:Guard.budget ->
   ?cache:Qcache.t ->
   ?executor:Joins.Exec.executor ->
@@ -90,7 +89,6 @@ val run :
 val run_exn :
   ?algorithm:algorithm ->
   ?scheme:Ranking.scheme ->
-  ?max_steps:int ->
   ?budget:Guard.budget ->
   ?cache:Qcache.t ->
   ?executor:Joins.Exec.executor ->
@@ -103,7 +101,6 @@ val run_exn :
 val top_k :
   ?algorithm:algorithm ->
   ?scheme:Ranking.scheme ->
-  ?max_steps:int ->
   ?budget:Guard.budget ->
   ?cache:Qcache.t ->
   ?executor:Joins.Exec.executor ->
@@ -116,7 +113,6 @@ val top_k :
 val top_k_xpath :
   ?algorithm:algorithm ->
   ?scheme:Ranking.scheme ->
-  ?max_steps:int ->
   ?budget:Guard.budget ->
   ?cache:Qcache.t ->
   ?executor:Joins.Exec.executor ->

@@ -1,3 +1,3 @@
-let run ?max_steps ?guard ?plan ?floor ?executor env ~scheme ~k q =
-  Sso.run_with ?max_steps ?guard ?plan ?floor ?executor ~sort_on_score:false ~bucketize:true env
+let run ?guard ?plan ?floor ?executor env ~scheme ~k q =
+  Sso.run_with ?guard ?plan ?floor ?executor ~sort_on_score:false ~bucketize:true env
     ~scheme ~k q

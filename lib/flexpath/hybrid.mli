@@ -9,7 +9,6 @@
     today Hybrid is SSO without the re-sort. *)
 
 val run :
-  ?max_steps:int ->
   ?guard:Guard.t ->
   ?plan:Common.plan ->
   ?floor:(unit -> float) ->

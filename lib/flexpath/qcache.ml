@@ -153,11 +153,10 @@ let budget_class = function
     Printf.sprintf "%s,%s,%s,%s" (f b.Guard.deadline_ms) (i b.Guard.tuple_budget)
       (i b.Guard.step_budget) (i b.Guard.restart_cap)
 
-let plan_key ?scope ~algorithm ~scheme ?max_steps q =
-  Printf.sprintf "%s|%s|%d|%s%s"
+let plan_key ?scope ~algorithm ~scheme q =
+  Printf.sprintf "%s|%s|%s%s"
     (Common.algorithm_to_string algorithm)
     (Ranking.to_string scheme)
-    (Option.value max_steps ~default:32)
     (match scope with None -> "" | Some s -> "g=" ^ s ^ "|")
     (Tpq.Query.canonical_key q)
 

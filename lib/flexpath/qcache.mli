@@ -52,15 +52,13 @@ val plan_key :
   ?scope:string ->
   algorithm:Common.algorithm ->
   scheme:Ranking.scheme ->
-  ?max_steps:int ->
   Tpq.Query.t ->
   string
 (** The plan-tier key: canonical shape plus everything that shapes the
-    chain and its evaluation ([algorithm], [scheme], effective
-    [max_steps], default 32).  [scope] names the data the entry was
-    computed from when one cache outlives a single environment — the
-    corpus passes its generation vector, so any change to any shard
-    misses. *)
+    chain's evaluation ([algorithm], [scheme]).  [scope] names the data
+    the entry was computed from when one cache outlives a single
+    environment — the corpus passes its generation vector, so any
+    change to any shard misses. *)
 
 val answer_key :
   plan_key:string ->

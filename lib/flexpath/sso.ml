@@ -21,9 +21,9 @@ let prune_for scheme penv k =
   | Ranking.Combined -> (Some k, Relax.Penalty.max_keyword_score penv)
   | Ranking.Keyword_first -> (None, 0.0)
 
-let run_with ?max_steps ?(guard = Guard.none) ?plan ?floor ?executor ~sort_on_score ~bucketize env
+let run_with ?(guard = Guard.none) ?plan ?floor ?executor ~sort_on_score ~bucketize env
     ~scheme ~k q =
-  let plan = match plan with Some p -> p | None -> Common.build_plan env ?max_steps q in
+  let plan = match plan with Some p -> p | None -> Common.build_plan env q in
   let penv = plan.Common.penv in
   let chain_arr = plan.Common.chain in
   let chain = Array.to_list chain_arr in
@@ -111,6 +111,6 @@ let run_with ?max_steps ?(guard = Guard.none) ?plan ?floor ?executor ~sort_on_sc
   in
   attempt cut 0 0
 
-let run ?max_steps ?guard ?plan ?floor ?executor env ~scheme ~k q =
-  run_with ?max_steps ?guard ?plan ?floor ?executor ~sort_on_score:true ~bucketize:false env
+let run ?guard ?plan ?floor ?executor env ~scheme ~k q =
+  run_with ?guard ?plan ?floor ?executor ~sort_on_score:true ~bucketize:false env
     ~scheme ~k q

@@ -14,7 +14,6 @@
     whatever budget remains and marks the result [degraded]. *)
 
 val run :
-  ?max_steps:int ->
   ?guard:Guard.t ->
   ?plan:Common.plan ->
   ?floor:(unit -> float) ->
@@ -35,7 +34,6 @@ val pick_cut :
     §5.1 requires).  Exposed for the estimator ablation bench. *)
 
 val run_with :
-  ?max_steps:int ->
   ?guard:Guard.t ->
   ?plan:Common.plan ->
   ?floor:(unit -> float) ->

@@ -62,6 +62,15 @@ let cheapest_next env q =
     (Op.candidates ~hierarchy q);
   !best
 
+let entry_to_string i e =
+  let ops =
+    match e.ops with
+    | [] -> "(original)"
+    | ops -> String.concat "; " (List.map Op.to_string ops)
+  in
+  Printf.sprintf "%2d. score=%.4f penalty=%.4f  %s\n    %s" i e.score e.penalty ops
+    (Tpq.Xpath.to_string e.query)
+
 let sequence ?(max_steps = 32) env =
   let q0 = Penalty.original env in
   let base = Penalty.base_score env in

@@ -42,3 +42,9 @@ val sequence : ?max_steps:int -> Penalty.t -> entry list
     [penalty = 0]), following {!cheapest_next} until exhaustion or
     [max_steps] (default 32).  Scores are non-increasing along the
     chain. *)
+
+val entry_to_string : int -> entry -> string
+(** Chain entry [i] in two lines, with no trailing newline: its rank,
+    score, penalty and operators, then its query as XPath.  The one
+    rendering of a chain, shared by [flexpath relax] and the server's
+    [RELAX]. *)

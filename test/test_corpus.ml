@@ -258,15 +258,17 @@ let test_parallel_scatter_equals_sequential () =
           check_int "parallel scatter" (min 3 (shards - 1) + 1) (Corpus.probe_parallelism c);
           check_string "parallel scatter == sequential" fp_sequential (corpus_fingerprint c)))
 
-(* The default scatter pool has no domains, and a writable server's
-   workers all query through it.  Such a pool must be each caller's own
-   loop: domain A's batch is held (its first thunk waits for B to
-   return, its second for a release) while the main domain runs batch
-   B.  B must return with A still held, and every thunk must run in
-   its own caller's domain — a shared queue would hand A's held thunk
-   to B.  The first exception ends the loop: later thunks do not run. *)
-let test_zero_domain_pool_runs_in_caller () =
-  let pool = Taskpool.create ~domains:0 in
+(* A writable server's workers all query through one scatter pool, so
+   each caller must claim only its own batch's thunks, at every pool
+   size.  Domain A's batch is held: its first thunk waits for B to
+   return, its second for a release, and a third is queued behind
+   them.  The main domain then runs batch B, which must return without
+   running A's third thunk.  Every thunk must run in its own caller or
+   a pool domain, never in the other caller.  While A's held thunks
+   still occupy the pool's domains, so that only the caller claims, a
+   raising thunk must end its batch: later thunks do not run. *)
+let test_pool_runs_batches_in_caller_or_pool domains =
+  let pool = Taskpool.create ~domains in
   let wait_for flag =
     let deadline = Unix.gettimeofday () +. 5.0 in
     while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
@@ -275,7 +277,7 @@ let test_zero_domain_pool_runs_in_caller () =
   in
   let a_held = Atomic.make false and b_returned = Atomic.make false in
   let release = Atomic.make false and a_returned = Atomic.make false in
-  let ran_in = Array.make 3 (-1) in
+  let ran_in = Array.make 4 (-1) in
   let here i = ran_in.(i) <- (Domain.self () :> int) in
   let a =
     Domain.spawn (fun () ->
@@ -288,24 +290,34 @@ let test_zero_domain_pool_runs_in_caller () =
             (fun () ->
               here 1;
               wait_for release);
+            (fun () -> here 2);
           ];
         Atomic.set a_returned true;
         (Domain.self () :> int))
   in
+  let size what = Printf.sprintf "%s (%d pool domains)" what domains in
   wait_for a_held;
-  Taskpool.run pool [ (fun () -> here 2) ];
-  Atomic.set b_returned true;
-  check_bool "B returned while A is held" false (Atomic.get a_returned);
-  Atomic.set release true;
-  let a_domain = Domain.join a in
-  check_int "A's first thunk ran in A" a_domain ran_in.(0);
-  check_int "A's held thunk ran in A" a_domain ran_in.(1);
-  check_int "B's thunk ran in B" (Domain.self () :> int) ran_in.(2);
+  Taskpool.run pool [ (fun () -> here 3) ];
+  check_bool (size "B returned while A is held") false (Atomic.get a_returned);
+  check_int (size "B returned without running A's third thunk") (-1) ran_in.(2);
   let later = ref false in
   (match Taskpool.run pool [ (fun () -> raise Exit); (fun () -> later := true) ] with
-  | () -> Alcotest.fail "exception swallowed"
+  | () -> Alcotest.fail (size "exception swallowed")
   | exception Exit -> ());
-  check_bool "no thunk runs after the exception" false !later;
+  check_bool (size "no thunk runs after the exception") false !later;
+  Atomic.set b_returned true;
+  Atomic.set release true;
+  let a_domain = Domain.join a and b_domain = (Domain.self () :> int) in
+  List.iter
+    (fun (i, what, other) ->
+      check_bool (size (what ^ " ran")) true (ran_in.(i) >= 0);
+      check_bool (size (what ^ " never ran in the other caller")) true (ran_in.(i) <> other))
+    [
+      (0, "A's first thunk", b_domain);
+      (1, "A's held thunk", b_domain);
+      (2, "A's third thunk", b_domain);
+      (3, "B's thunk", a_domain);
+    ];
   Taskpool.shutdown pool
 
 let test_upsert_delete_equivalence () =
@@ -945,8 +957,8 @@ let () =
             test_sharded_equals_plain;
           Alcotest.test_case "parallel scatter == sequential scatter" `Slow
             test_parallel_scatter_equals_sequential;
-          Alcotest.test_case "zero-domain pool runs each batch in its caller" `Quick
-            test_zero_domain_pool_runs_in_caller;
+          Alcotest.test_case "pool runs each batch in its caller or the pool (0, 1 domains)"
+            `Quick (fun () -> List.iter test_pool_runs_batches_in_caller_or_pool [ 0; 1 ]);
           Alcotest.test_case "upsert/delete keeps equivalence" `Slow test_upsert_delete_equivalence;
           Alcotest.test_case "auto ids route and persist" `Quick test_auto_ids_route_and_persist;
           Alcotest.test_case "threshold-algorithm skip is exact" `Quick test_threshold_skip_exact;
