@@ -20,6 +20,7 @@ let catalog =
     "server_worker";
     "worker_wedge";
     "worker_die";
+    "worker_respawn";
     "client_send";
     "shard_probe";
     "replica_ship";

@@ -45,8 +45,10 @@ val catalog : string list
     simulate the two worker-loss modes the server's supervisor must
     recover from — a worker that stops making progress mid-request,
     and one whose domain terminates on an uncaught exception — and
-    ["client_send"] fails a {!Flexpath_server.Client} request send,
-    exercising the retry path.  The sharding point ["shard_probe"]
+    ["worker_respawn"] fails the spawn of a replacement as the
+    runtime's domain limit would.  ["client_send"] fails a
+    {!Flexpath_server.Client} request send, exercising the retry
+    path.  The sharding point ["shard_probe"]
     fires inside {!Corpus.query} at the start of each per-shard probe —
     counted arming loses exactly one {e replica} mid-query, which
     failover absorbs when the set holds another copy and the

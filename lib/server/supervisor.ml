@@ -1,7 +1,7 @@
 type phase =
   | Idle
   | Busy of { fingerprint : string option; since_ms : float }
-  | Dead of { fingerprint : string option; had_connection : bool }
+  | Dead of string option  (* the fingerprint of the request it died in *)
   | Lost
 
 type handle = { index : int; cell : phase Atomic.t }
@@ -27,15 +27,8 @@ let create ~workers ~hard_wall_ms ~quarantine_threshold =
     strikes = Hashtbl.create 8;
   }
 
-let hard_wall_ms t = t.hard_wall_ms
-let workers t = Array.length t.slots
 let occupant t index = Atomic.get t.slots.(index)
 let alive t h = Atomic.get t.slots.(h.index) == h
-
-let replace t index =
-  let h = fresh_handle index in
-  Atomic.set t.slots.(index) h;
-  h
 
 (* The worker publishes a fresh [Busy] value per request and keeps it
    as a token: ownership of the busy→idle transition is decided by a
@@ -49,8 +42,7 @@ let busy h ~fingerprint =
 
 let retire h token = Atomic.compare_and_set h.cell token Idle
 
-let mark_dead h ~fingerprint ~had_connection =
-  Atomic.set h.cell (Dead { fingerprint; had_connection })
+let mark_dead h ~fingerprint = Atomic.set h.cell (Dead fingerprint)
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine *)
@@ -74,26 +66,25 @@ let quarantined t fingerprint =
 (* ------------------------------------------------------------------ *)
 (* The staleness scan *)
 
-type casualty = { index : int; fingerprint : string option; had_connection : bool }
-
 let scan t ~now_ms =
-  let casualties = ref [] in
+  let lost = ref [] in
   Array.iter
     (fun slot ->
       let h = Atomic.get slot in
       let phase = Atomic.get h.cell in
-      let claim token fingerprint had_connection =
+      let claim fingerprint =
         (* CAS: if the worker retired (or re-published) in between, it
            is making progress and is not lost after all. *)
-        if Atomic.compare_and_set h.cell token Lost then begin
-          (match fingerprint with Some fp -> ignore (strike t fp) | None -> ());
-          casualties := { index = h.index; fingerprint; had_connection } :: !casualties
+        if Atomic.compare_and_set h.cell phase Lost then begin
+          Option.iter (fun fp -> ignore (strike t fp)) fingerprint;
+          Atomic.set slot (fresh_handle h.index);
+          lost := h.index :: !lost
         end
       in
       match phase with
       | Idle | Lost -> ()
       | Busy { fingerprint; since_ms } ->
-        if now_ms -. since_ms > t.hard_wall_ms then claim phase fingerprint true
-      | Dead { fingerprint; had_connection } -> claim phase fingerprint had_connection)
+        if now_ms -. since_ms > t.hard_wall_ms then claim fingerprint
+      | Dead fingerprint -> claim fingerprint)
     t.slots;
-  List.rev !casualties
+  List.rev !lost

@@ -11,12 +11,11 @@
       request executes, [Idle] between requests, [Dead] if the domain
       body crashed.
     - A periodic {!scan} claims cells that are [Busy] past the
-      configured hard wall, or [Dead], by CAS-ing them to [Lost]; each
-      successful claim is a {!casualty} the server answers by spawning
-      a replacement worker into the same position ({!replace}) — the
-      lost domain itself is leaked (it may never return) but pool
-      capacity is preserved.
-    - Every casualty's query fingerprint
+      configured hard wall, or [Dead], by CAS-ing them to [Lost], and
+      installs a fresh handle in each such position, on which the
+      server spawns a replacement worker — the lost domain itself is
+      leaked (it may never return) but pool capacity is preserved.
+    - Every lost worker's query fingerprint
       ({!Tpq.Query.canonical_key}) receives a {e strike}; at the
       quarantine threshold (default 2) matching queries are
       fast-rejected with [QUARANTINED] before any evaluation work, so
@@ -42,22 +41,14 @@ val create : workers:int -> hard_wall_ms:float -> quarantine_threshold:int -> t
     (set it well above the largest legitimate request budget).
     [quarantine_threshold <= 0] disables quarantining. *)
 
-val hard_wall_ms : t -> float
-val workers : t -> int
-
 val occupant : t -> int -> handle
 (** The current handle at a pool position (the initial one until
-    {!replace} installs a successor). *)
+    {!scan} installs a successor). *)
 
 val alive : t -> handle -> bool
 (** Is [h] still the occupant of its position?  A wedged worker that
     eventually resumes checks this to learn it was superseded and must
     exit instead of competing with its replacement. *)
-
-val replace : t -> int -> handle
-(** Installs and returns a fresh handle at a position, superseding the
-    current occupant.  Called by the server when respawning after a
-    casualty. *)
 
 type phase
 (** A busy token: the value published by {!busy}, consumed by
@@ -73,26 +64,21 @@ val retire : handle -> phase -> bool
     this worker as lost in the meantime: the caller no longer owns the
     request's accounting (the supervisor has done it) and must exit. *)
 
-val mark_dead : handle -> fingerprint:string option -> had_connection:bool -> unit
+val mark_dead : handle -> fingerprint:string option -> unit
 (** The worker domain's body is terminating on a crash ([worker_die]
     or a genuinely uncaught exception): the next {!scan} turns this
     into a casualty without waiting out the hard wall. *)
 
-val strike : t -> string -> int
-(** Records one strike against a fingerprint; returns the new count. *)
-
 val strikes : t -> string -> int
+(** The strikes recorded against a fingerprint. *)
 
 val quarantined : t -> string -> bool
 (** [true] once a fingerprint has reached the quarantine threshold:
     the server fast-rejects matching queries with [QUARANTINED]. *)
 
-type casualty = { index : int; fingerprint : string option; had_connection : bool }
-
-val scan : t -> now_ms:float -> casualty list
+val scan : t -> now_ms:float -> int list
 (** One supervision pass: claims stale-[Busy] and [Dead] cells as
-    [Lost], strikes their fingerprints, and returns the casualties in
-    position order.  The caller replaces each casualty's handle and
-    respawns a worker; [had_connection] says whether the lost worker
-    held an admitted connection whose accounting the caller must
-    settle. *)
+    [Lost], strikes their fingerprints, supersedes each such worker
+    with a fresh {!occupant}, and returns the lost positions in order.
+    The caller settles each lost worker's in-flight job and spawns a
+    replacement on the new occupant. *)
