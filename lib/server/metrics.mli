@@ -66,7 +66,7 @@ val merge_failed : t -> unit
     WAL keeps the deltas, so no write is lost. *)
 
 val merge_respawned : t -> unit
-(** The supervision loop replaced a dead merge domain. *)
+(** The supervision tick replaced a dead merge domain. *)
 
 type snapshot = {
   admitted : int;
