@@ -5,13 +5,16 @@ module Index = Fulltext.Index
 (* The live corpus is one document: a synthetic [fx-corpus] root whose
    children are [fx-doc id="..."] wrappers, one per ingested document.
    One document means one index and one statistics table, so scores and
-   penalties use corpus-global df / avg_scope_len / #pc / #ad counts —
-   which is what makes an incrementally extended corpus answer queries
-   {e identically} to an offline rebuild over the same document set
-   (the merge-equivalence property the test suite checks).  The
-   registry of document ids is carried by the wrapper attributes, so a
-   Storage v2 snapshot of the corpus env persists everything: no format
-   change, and crash recovery of the registry comes free with DOCM.
+   penalties use corpus-global df / avg_scope_len / #pc / #ad counts.
+   Every write keeps those counts exact without a rebuild: an append
+   extends the document, index and statistics, a delete splices one
+   wrapper's subtree out of them, and an upsert does both, so the
+   corpus answers queries {e identically} to an offline rebuild over
+   the same document set (the merge-equivalence property the test
+   suite checks).  The registry of document ids is carried by the
+   wrapper attributes, so a Storage v2 snapshot of the corpus env
+   persists everything: no format change, and crash recovery of the
+   registry comes free with DOCM.
 
    This module is the only one that knows that layout.  Everything
    above it reads the document-boundary column: one row per document,
@@ -106,8 +109,8 @@ let column doc ids =
     (Doc.children doc (Doc.root doc))
   |> Array.of_list
 
-let of_docs ?weights ?hierarchy ?scorer docs =
-  match Env.build ?weights ?hierarchy ?scorer (Doc.of_tree (corpus_tree docs)) with
+let of_docs ?weights ?hierarchy docs =
+  match Env.build ?weights ?hierarchy (Doc.of_tree (corpus_tree docs)) with
   | Ok env -> Ok { env; spans = column env.Env.doc (List.map fst docs) }
   | Error e -> Error e
 
@@ -116,7 +119,17 @@ let empty ?weights ?hierarchy () = of_docs ?weights ?hierarchy []
 let env corpus = corpus.env
 let spans corpus = corpus.spans
 let ids corpus = Array.fold_right (fun s acc -> s.id :: acc) corpus.spans []
-let mem corpus id = Array.exists (fun s -> String.equal s.id id) corpus.spans
+
+(* The row of document [id]. *)
+let row corpus id =
+  let rec go i =
+    if i = Array.length corpus.spans then None
+    else if String.equal corpus.spans.(i).id id then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let mem corpus id = Option.is_some (row corpus id)
 let doc_count corpus = Array.length corpus.spans
 
 (* Each wrapper holds one document tree. *)
@@ -190,10 +203,11 @@ let of_env env =
     | Ok ids -> Ok { env; spans = column doc ids }
   end
 
-(* Incremental append: extend document, index and statistics in place
-   of a rebuild.  Each extension is value-identical to a fresh build
-   over the widened corpus (see the respective modules), so this is
-   pure speed, not approximation. *)
+(* Incremental writes: an append extends the document, index and
+   statistics, and a removal splices one document's subtree out of
+   them, in place of a rebuild.  Each step is value-identical to a fresh
+   build over the resulting corpus (see the respective modules), so
+   this is pure speed, not approximation. *)
 let append_new corpus ~id tree =
   let env = corpus.env in
   let first_new = Doc.size env.Env.doc in
@@ -206,27 +220,45 @@ let append_new corpus ~id tree =
   let row = { id; first = first_new; stop = Doc.size doc } in
   { env; spans = Array.append corpus.spans [| row |] }
 
-(* Rebuild from a document list, inheriting tuning from the old env. *)
-let rebuild_as corpus docs_list =
-  of_docs ~weights:corpus.env.Env.weights ~hierarchy:corpus.env.Env.hierarchy
-    ~scorer:(Index.scorer corpus.env.Env.index)
-    docs_list
+(* Splice out the document of row [i]; the column drops the row and
+   moves the later rows down by its length. *)
+let remove_row corpus i =
+  let env = corpus.env in
+  let { first; stop; _ } = corpus.spans.(i) in
+  let doc = Doc.remove_tree env.Env.doc first in
+  let index = Index.remove env.Env.index doc ~first ~stop in
+  let stats = Stats.remove env.Env.stats doc ~first ~stop in
+  let env =
+    Env.of_parts ~weights:env.Env.weights ~doc ~index ~stats ~hierarchy:env.Env.hierarchy ()
+  in
+  let m = stop - first in
+  let spans =
+    Array.init
+      (Array.length corpus.spans - 1)
+      (fun j ->
+        if j < i then corpus.spans.(j)
+        else
+          let s = corpus.spans.(j + 1) in
+          { s with first = s.first - m; stop = s.stop - m })
+  in
+  { env; spans }
 
 let add corpus ~id tree =
   match check_id id with
   | Error e -> Error e
   | Ok id ->
-    if mem corpus id then
-      (* Upsert: the replaced document moves to the end, as if deleted
-         and re-ingested — replay of a WAL [Add] is therefore
-         idempotent and order-preserving. *)
-      rebuild_as corpus (List.filter (fun (i, _) -> i <> id) (docs corpus) @ [ (id, tree) ])
-    else Ok (append_new corpus ~id tree)
+    (* Upsert: the replaced document moves to the end, as if deleted
+       and re-ingested — replay of a WAL [Add] is therefore
+       idempotent and order-preserving. *)
+    let corpus = match row corpus id with Some i -> remove_row corpus i | None -> corpus in
+    Ok (append_new corpus ~id tree)
 
 let remove corpus ~id =
-  if not (mem corpus id) then
-    Error (Error.Config_error { what = "document id"; message = Printf.sprintf "no document %S" id })
-  else rebuild_as corpus (List.filter (fun (i, _) -> i <> id) (docs corpus))
+  match row corpus id with
+  | Some i -> Ok (remove_row corpus i)
+  | None ->
+    Error
+      (Error.Config_error { what = "document id"; message = Printf.sprintf "no document %S" id })
 
 (* ------------------------------------------------------------------ *)
 (* WAL-backed store. *)

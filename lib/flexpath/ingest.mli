@@ -6,12 +6,15 @@
     and every score or penalty uses corpus-global counts.  Adding a
     document {e extends} the arena, index and statistics incrementally
     ({!Xmldom.Doc.append_trees}, {!Fulltext.Index.extend},
-    {!Stats.extend}); each extension is value-identical to a fresh
-    build over the union corpus, so an incrementally grown corpus
+    {!Stats.extend}); deleting one {e splices} its subtree out of them
+    ({!Xmldom.Doc.remove_tree}, {!Fulltext.Index.remove},
+    {!Stats.remove}), re-parsing and re-tokenizing nothing; an upsert
+    is a splice followed by an append.  Each step is value-identical
+    to a fresh build over the resulting corpus, up to the intern
+    table's tag numbering, so an incrementally maintained corpus
     answers queries byte-for-byte like an offline rebuild — the
     merge-equivalence property the test suite verifies across
-    DPO/SSO/Hybrid.  Deletes and upserts of existing ids take the slow
-    rebuild path (rare next to appends, as in any LSM).
+    DPO/SSO/Hybrid.
 
     The {!store} adds durability: every acknowledged write is first
     appended to a CRC-per-record {!Wal}; {!merge} folds the corpus
@@ -67,7 +70,6 @@ val empty :
 val of_docs :
   ?weights:Relax.Penalty.weights ->
   ?hierarchy:Tpq.Hierarchy.t ->
-  ?scorer:Fulltext.Scorer.t ->
   (string * Xmldom.Xml.t) list ->
   (corpus, Error.t) result
 (** Offline build over a document list — the comparator the
@@ -89,8 +91,8 @@ type span = { id : string; first : int; stop : int }
 
 val spans : corpus -> span array
 (** The column, in corpus order (ascending [first]): built once per
-    corpus value by {!of_docs}, {!of_env} and {!add}.  Shared: do not
-    mutate. *)
+    corpus value by {!of_docs}, {!of_env}, {!add} and {!remove}.
+    Shared: do not mutate. *)
 
 val ids : corpus -> string list
 (** Document ids in corpus order (ingestion order, upserts moving to
@@ -113,12 +115,13 @@ val locate : corpus -> int -> string * string
     [("", <its tag>)]. *)
 
 val add : corpus -> id:string -> Xmldom.Xml.t -> (corpus, Error.t) result
-(** Upsert.  New ids append incrementally; existing ids rebuild with
-    the replacement moved to the end (delete + re-ingest semantics, so
-    WAL replay is idempotent). *)
+(** Upsert.  A new id appends; an existing id is spliced out and its
+    replacement appended, so it moves to the end (delete + re-ingest
+    semantics, so WAL replay is idempotent). *)
 
 val remove : corpus -> id:string -> (corpus, Error.t) result
-(** [Config_error] for unknown ids. *)
+(** Splice the document out; later rows of {!spans} move down by its
+    length.  [Config_error] for unknown ids. *)
 
 (** {2 WAL-backed store} *)
 

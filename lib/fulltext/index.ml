@@ -258,6 +258,96 @@ let extend idx doc ~first_new =
     }
   end
 
+(* Re-cover an index after [Doc.remove_tree] took the root child
+   [first] (its subtree is [first .. stop - 1]) out of [idx]'s document:
+   the mirror of [extend].  The subtree's tokens are the range
+   [tok_start first, tok_end first); dropping it and moving every later
+   position and owner down leaves the token stream a fresh pass over
+   [doc] would produce, so nothing is tokenized.  Term ids are then
+   renumbered densely in first-occurrence order over that stream, which
+   drops the words only the removed subtree held; postings come from
+   [build]'s counting sort.  An element's token range either lies
+   wholly before or wholly after the removed range, or (the root)
+   covers it, so one shift rule fixes every range. *)
+let remove idx doc ~first ~stop =
+  let m = stop - first in
+  if Doc.size doc <> Doc.size idx.doc - m then
+    invalid_arg
+      (Printf.sprintf "Index.remove: index covers %d elements, %d minus %d remain" (Doc.size doc)
+         (Doc.size idx.doc) m);
+  let ts = idx.tok_start.(first) and te = idx.tok_end.(first) in
+  let k = te - ts in
+  let n_tok = idx.n_tokens - k in
+  let remap = Array.make (Array.length idx.postings) (-1) in
+  let next_tid = ref 0 in
+  let tok_term = Array.make (max 1 n_tok) 0 in
+  let tok_owner = Array.make (max 1 n_tok) 0 in
+  for pos = 0 to n_tok - 1 do
+    let src = if pos < ts then pos else pos + k in
+    let old = idx.tok_term.(src) in
+    if remap.(old) < 0 then begin
+      remap.(old) <- !next_tid;
+      incr next_tid
+    end;
+    tok_term.(pos) <- remap.(old);
+    let o = idx.tok_owner.(src) in
+    tok_owner.(pos) <- (if o >= stop then o - m else o)
+  done;
+  let n_terms = !next_tid in
+  (* Insert in id order, as [build] meets the words. *)
+  let by_tid = Array.make n_terms "" in
+  Hashtbl.iter
+    (fun term old -> if remap.(old) >= 0 then by_tid.(remap.(old)) <- term)
+    idx.term_ids;
+  let term_ids = Hashtbl.create 1024 in
+  Array.iteri (fun tid term -> Hashtbl.add term_ids term tid) by_tid;
+  let counts = Array.make (max 1 n_terms) 0 in
+  for pos = 0 to n_tok - 1 do
+    counts.(tok_term.(pos)) <- counts.(tok_term.(pos)) + 1
+  done;
+  let postings = Array.init n_terms (fun tid -> Array.make counts.(tid) 0) in
+  let fill = Array.make (max 1 n_terms) 0 in
+  for pos = 0 to n_tok - 1 do
+    let tid = tok_term.(pos) in
+    postings.(tid).(fill.(tid)) <- pos;
+    fill.(tid) <- fill.(tid) + 1
+  done;
+  let range src =
+    let g = Array.make (Doc.size doc) 0 in
+    Array.blit src 0 g 0 first;
+    Array.blit src stop g first (Doc.size doc - first);
+    for e = 0 to Doc.size doc - 1 do
+      if g.(e) >= te then g.(e) <- g.(e) - k
+    done;
+    g
+  in
+  let tok_start = range idx.tok_start and tok_end = range idx.tok_end in
+  let text_bearing = ref 0 in
+  let total_len = ref 0 in
+  for e = 0 to Doc.size doc - 1 do
+    let len = tok_end.(e) - tok_start.(e) in
+    if len > 0 then begin
+      incr text_bearing;
+      total_len := !total_len + len
+    end
+  done;
+  let avg_scope_len =
+    if !text_bearing = 0 then 0.0 else float_of_int !total_len /. float_of_int !text_bearing
+  in
+  {
+    doc;
+    term_ids;
+    postings;
+    tok_term;
+    tok_owner;
+    tok_start;
+    tok_end;
+    n_tokens = n_tok;
+    scorer = idx.scorer;
+    avg_scope_len;
+    overlay = None;
+  }
+
 (* The index minus its document: what snapshot storage persists.  The
    document is stored once in its own snapshot section; [of_portable]
    re-attaches it.  No field is a closure, so the whole record is

@@ -41,6 +41,21 @@ val extend : t -> Xmldom.Doc.t -> first_new:int -> t
     @raise Invalid_argument when [first_new] is not the size of [idx]'s
     document. *)
 
+val remove : t -> Xmldom.Doc.t -> first:int -> stop:int -> t
+(** [remove idx doc ~first ~stop] re-covers an index after
+    {!Xmldom.Doc.remove_tree} took the root's child [first], whose
+    subtree is [first .. stop - 1], out of [idx]'s document, giving
+    [doc].  Nothing is tokenized: the subtree's token range is dropped
+    and later positions move down.  The result is value-identical to
+    [build doc], as {!extend}'s is: same term ids (renumbered densely
+    in first-occurrence order, so words only the subtree held are
+    gone), posting lists, token maps, subtree ranges and (bit-for-bit)
+    [avg_scope_len].  The intern-table exception of
+    {!Xmldom.Doc.remove_tree} does not reach the index, which holds no
+    tag ids.
+    @raise Invalid_argument when [doc] does not have [stop - first]
+    fewer elements than [idx]'s document. *)
+
 val doc : t -> Xmldom.Doc.t
 val scorer : t -> Scorer.t
 

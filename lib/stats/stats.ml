@@ -166,6 +166,65 @@ let extend t doc ~first_new =
       contains_cache = Hashtbl.create 64;
     }
 
+(* Re-cover statistics after [Doc.remove_tree] took the root child
+   [first] (subtree [first .. stop - 1]) out of the document: the
+   mirror of [extend].  Running [build]'s loop body over the removed
+   elements, against the old document, and subtracting reverses what
+   it added for them; a pair whose count reaches 0 is dropped, as
+   [build] never adds one.  The one correction is again the root's
+   descendant count, which loses the range's length.  The arrays keep
+   their length: [doc] shares the old intern table. *)
+let remove t doc ~first ~stop =
+  let st = single_of t in
+  let old = st.doc in
+  let m = stop - first in
+  if Doc.size doc <> Doc.size old - m then
+    invalid_arg
+      (Printf.sprintf "Stats.remove: statistics cover %d elements, %d minus %d remain"
+         (Doc.size doc) (Doc.size old) m);
+  let n_by_tag = Array.copy st.n_by_tag in
+  let pc = Pair_tbl.copy st.pc in
+  let ad = Pair_tbl.copy st.ad in
+  let children_total = Array.copy st.children_total in
+  let desc_total = Array.copy st.desc_total in
+  let depth_total = Array.copy st.depth_total in
+  let total_ad = ref st.total_ad in
+  let drop tbl key =
+    match Pair_tbl.find tbl key with
+    | 1 -> Pair_tbl.remove tbl key
+    | c -> Pair_tbl.replace tbl key (c - 1)
+  in
+  for e = first to stop - 1 do
+    let te = Doc.tag old e in
+    n_by_tag.(te) <- n_by_tag.(te) - 1;
+    (match Doc.parent old e with
+    | None -> ()
+    | Some p ->
+      let tp = Doc.tag old p in
+      drop pc (tp, te);
+      children_total.(tp) <- children_total.(tp) - 1);
+    desc_total.(te) <- desc_total.(te) - (Doc.subtree_end old e - e - 1);
+    let d = Doc.level old e in
+    depth_total.(te) <- depth_total.(te) - d;
+    total_ad := !total_ad - d;
+    List.iter (fun a -> drop ad (Doc.tag old a, te)) (Doc.ancestors old e)
+  done;
+  let rt = Doc.tag doc (Doc.root doc) in
+  desc_total.(rt) <- desc_total.(rt) - m;
+  Single
+    {
+      doc;
+      n_by_tag;
+      pc;
+      ad;
+      children_total;
+      desc_total;
+      depth_total;
+      total_ad = !total_ad;
+      index = None;
+      contains_cache = Hashtbl.create 64;
+    }
+
 (* The statistics minus the document, the attached index and the
    memoization cache: the count tables snapshot storage persists.
    [of_portable] re-attaches a document and starts a fresh cache; the

@@ -22,8 +22,8 @@ val merged : t list -> t
     tag counts and element totals, so the numbers match a single
     document whose root adopts all shards' children.  Sources must each
     have an index attached (for [#contains]).  Merged views are
-    query-time values: {!extend}, {!set_index} and {!to_portable}
-    reject them.
+    query-time values: {!extend}, {!remove}, {!set_index} and
+    {!to_portable} reject them.
     @raise Invalid_argument on an empty list, a merged source, or
     sources with different root tags. *)
 
@@ -44,6 +44,20 @@ val extend : t -> Xmldom.Doc.t -> first_new:int -> t
     extended index.
     @raise Invalid_argument when [first_new] is not the size of [st]'s
     document. *)
+
+val remove : t -> Xmldom.Doc.t -> first:int -> stop:int -> t
+(** [remove st doc ~first ~stop] re-covers the statistics after
+    {!Xmldom.Doc.remove_tree} took the root's child [first], whose
+    subtree is [first .. stop - 1], out of [st]'s document, giving
+    [doc]: one pass over the {e removed} elements only, yielding every
+    count of [build doc], read by tag name.  The exception is
+    {!Xmldom.Doc.remove_tree}'s shared intern table: a tag whose last
+    element was removed stays in the tables with count 0, and tag ids
+    keep the old numbering.  Like {!extend}, the result has no index
+    attached and a fresh [count_contains] cache; call {!set_index} with
+    the matching {!Fulltext.Index.remove}d index.
+    @raise Invalid_argument when [doc] does not have [stop - first]
+    fewer elements than [st]'s document. *)
 
 (** {2 Persistence} *)
 

@@ -301,6 +301,111 @@ let append_trees d new_kids =
     }
   end
 
+(* [src] without its slots [lo .. lo + len - 1]. *)
+let drop src lo len =
+  let n = Array.length src - len in
+  if n = 0 then [||]
+  else begin
+    let g = Array.make n src.(0) in
+    Array.blit src 0 g 0 lo;
+    Array.blit src (lo + len) g lo (n - lo);
+    g
+  end
+
+(* [drop] on an int column, moving every kept value >= [above] down by
+   [by]. *)
+let drop_shift src lo len ~above ~by =
+  let g = drop src lo len in
+  for i = 0 to Array.length g - 1 do
+    if g.(i) >= above then g.(i) <- g.(i) - by
+  done;
+  g
+
+(* First index of the sorted [a] holding an element >= x. *)
+let lower_bound a x =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Remove the root child [c] and its subtree, producing the arena
+   [of_tree] would build for the narrowed tree: the mirror of
+   [append_trees].  The subtree is the pre-order range [c, b) and, as
+   [of_tree] and [append_trees] number a root child's text chunks in
+   one run, the chunk range [ca, ca + mc).  Every id, post number,
+   parent, subtree end, content reference and chunk number above its
+   range moves down by the range's length; the per-tag arrays drop the
+   range; ranks inside the surviving subtrees carry over and the
+   root's children are ranked again.  Content arrays that reference
+   nothing above the range are shared.  The intern table is shared
+   too: nothing interns into a published document's table
+   ([append_trees] copies it first), so it may keep a tag whose last
+   element was removed. *)
+let remove_tree d c =
+  if c <= 0 || c >= d.n || d.parent.(c) <> 0 then
+    invalid_arg (Printf.sprintf "Doc.remove_tree: %d is not a child of the root" c);
+  let b = d.subtree_end.(c) in
+  let m = b - c in
+  let ca = ref max_int and cb = ref 0 and n_chunks = ref 0 in
+  for e = c to b - 1 do
+    Array.iter
+      (fun item ->
+        if item < 0 then begin
+          let k = -item - 1 in
+          incr n_chunks;
+          if k < !ca then ca := k;
+          if k >= !cb then cb := k + 1
+        end)
+      d.content.(e)
+  done;
+  let ca, mc = if !n_chunks = 0 then (0, 0) else (!ca, !cb - !ca) in
+  if mc <> !n_chunks then
+    invalid_arg "Doc.remove_tree: the subtree's text chunks are not one run";
+  let fix item =
+    if item >= b then item - m else if item < 0 && -item - 1 >= ca + mc then item + mc else item
+  in
+  let root_items = d.content.(0) in
+  let at = ref 0 in
+  while root_items.(!at) <> c do
+    incr at
+  done;
+  let content =
+    Array.init (d.n - m) (fun e ->
+        if e = 0 then Array.map fix (drop root_items !at 1)
+        else if e < c then d.content.(e)
+        else Array.map fix d.content.(e + m))
+  in
+  let tag = drop d.tag c m in
+  let parent = drop_shift d.parent c m ~above:b ~by:m in
+  let by_tag =
+    Array.map
+      (fun arr ->
+        let lo = lower_bound arr c in
+        if lo = Array.length arr then arr
+        else drop_shift arr lo (lower_bound arr b - lo) ~above:b ~by:m)
+      d.by_tag
+  in
+  let same_tag_rank = drop d.same_tag_rank c m in
+  let last = Array.make (Tag.count d.tags) 0 in
+  rank_children ~tag ~parent ~content ~last same_tag_rank 0;
+  {
+    tags = d.tags;
+    n = d.n - m;
+    tag;
+    post = drop_shift d.post c m ~above:(d.post.(c) + 1) ~by:m;
+    level = drop d.level c m;
+    parent;
+    subtree_end = drop_shift d.subtree_end c m ~above:b ~by:m;
+    attrs = drop d.attrs c m;
+    content;
+    chunk_owner = drop_shift d.chunk_owner ca mc ~above:b ~by:m;
+    chunk_text = drop d.chunk_text ca mc;
+    by_tag;
+    same_tag_rank;
+  }
+
 let of_string s = Result.map of_tree (Xml_parser.parse s)
 let of_file path = Result.map of_tree (Xml_parser.parse_file path)
 

@@ -129,6 +129,23 @@ val append_trees : t -> Xml.t list -> t
     shared wherever the append leaves them unchanged.
     @raise Invalid_argument if any of [kids] is a text node. *)
 
+val remove_tree : t -> elem -> t
+(** [remove_tree d c] is the arena [of_tree] would produce for [d]'s
+    tree without the root's child [c] and its subtree, the mirror of
+    {!append_trees}: every element's id, post number, level, parent,
+    subtree end, attributes, content, text chunks, location path and
+    per-tag stream are those of that fresh build.  The one exception is
+    the intern table, which is shared with [d], not rebuilt: nothing
+    interns into a published document's table ({!append_trees} copies
+    it first).  So it may keep a tag whose last element was in [c]'s
+    subtree, whose {!by_tag} array is then empty, as an unknown tag's
+    is; and tag ids keep [d]'s numbering, so compare tags by name.
+    [d] itself is untouched; content and per-tag arrays that reference
+    nothing after the subtree are shared with it.
+    @raise Invalid_argument if [c] is not a child of the root, or if
+    its subtree's text chunks are not one consecutive run (as
+    {!of_tree} and {!append_trees} always number them). *)
+
 val to_tree : t -> Xml.t
 (** Rebuild an {!Xml.t}.  Direct text chunks are emitted in document
     order relative to element children. *)

@@ -181,6 +181,171 @@ let test_extend_internals () =
         [ "article"; "section"; "paragraph"; "title" ])
     [ "fx-corpus"; "fx-doc"; "article"; "section"; "paragraph"; "algorithm" ]
 
+(* A splice is a fresh build.  A delete or upsert splices one
+   document's subtree out of the arena, index and statistics; each must
+   then hold, field by field, what [Ingest.of_docs] over the surviving
+   documents builds.  Tags are compared by name, because the spliced
+   arena keeps its intern table (and with it the old tag numbering and
+   tags no element uses any more).  The first document holds the only
+   occurrences of one word and one tag, so deleting it must drop both;
+   a wordless document checks a splice that moves no token. *)
+let test_splice_internals () =
+  let module Index = Fulltext.Index in
+  let first =
+    Xml.Element
+      ( "article",
+        [],
+        [
+          Xml.Element ("title", [], [ Xml.Text "Streaming XML, the quokka way" ]);
+          Xml.Element ("erratum", [ ("n", "1") ], [ Xml.Text "an xml algorithm" ]);
+        ] )
+  in
+  let wordless = Xml.Element ("article", [], [ Xml.Element ("title", [], []) ]) in
+  let docs =
+    (("d0", first) :: List.init 4 (fun i -> (Printf.sprintf "d%d" (i + 1), article (800 + i))))
+    @ [ ("quiet", wordless); ("d5", article 804) ]
+  in
+  let grown =
+    List.fold_left
+      (fun corpus (id, tree) -> ok_exn "add" (Ingest.add corpus ~id tree))
+      (ok_exn "empty" (Ingest.empty ()))
+      docs
+  in
+  let gd = (Ingest.env grown).Env.doc in
+  let names = List.sort_uniq compare (List.init (Doc.size gd) (Doc.tag_name gd)) in
+  let words =
+    List.init (Doc.chunk_count gd) (fun c -> Fulltext.Tokenizer.tokens (Doc.chunk_text gd c))
+    |> List.concat |> List.sort_uniq compare
+  in
+  check_bool "the lone word and tag are in the grown corpus" true
+    (List.mem "quokka" words && List.mem "erratum" names);
+  let estimates =
+    List.map Tpq.Xpath.parse_exn
+      [
+        "//*[./title]";
+        "//*/paragraph";
+        "//*//paragraph";
+        "//section[./*]";
+        "//article//*";
+        "//fx-corpus//*";
+        "//*//*";
+      ]
+  in
+  let check_splice what spliced surviving =
+    let fresh = ok_exn "of_docs" (Ingest.of_docs surviving) in
+    check_corpus_equal what fresh spliced;
+    check_bool (what ^ ": boundary column") true (Ingest.spans fresh = Ingest.spans spliced);
+    let fe = Ingest.env fresh and se = Ingest.env spliced in
+    let fd = fe.Env.doc and sd = se.Env.doc in
+    let fi = fe.Env.index and si = se.Env.index in
+    let fs = fe.Env.stats and ss = se.Env.stats in
+    check_int (what ^ ": size") (Doc.size fd) (Doc.size sd);
+    for e = 0 to Doc.size fd - 1 do
+      if
+        Doc.post fd e <> Doc.post sd e
+        || Doc.level fd e <> Doc.level sd e
+        || Doc.parent fd e <> Doc.parent sd e
+        || Doc.subtree_end fd e <> Doc.subtree_end sd e
+        || Doc.tag_name fd e <> Doc.tag_name sd e
+        || Doc.attributes fd e <> Doc.attributes sd e
+        || Doc.path_to_root fd e <> Doc.path_to_root sd e
+        || Index.tok_range fi e <> Index.tok_range si e
+      then Alcotest.failf "%s: element %d differs" what e
+    done;
+    check_int (what ^ ": chunks") (Doc.chunk_count fd) (Doc.chunk_count sd);
+    for c = 0 to Doc.chunk_count fd - 1 do
+      if Doc.chunk_owner fd c <> Doc.chunk_owner sd c || Doc.chunk_text fd c <> Doc.chunk_text sd c
+      then Alcotest.failf "%s: chunk %d differs" what c
+    done;
+    check_bool (what ^ ": the intern table keeps every tag") true
+      (Xmldom.Tag.count (Doc.tags sd) >= Xmldom.Tag.count (Doc.tags fd));
+    check_int (what ^ ": n_tokens") (Index.n_tokens fi) (Index.n_tokens si);
+    check_int (what ^ ": distinct terms") (Index.distinct_terms fi) (Index.distinct_terms si);
+    List.iter
+      (fun w ->
+        if Index.term_positions fi w <> Index.term_positions si w then
+          Alcotest.failf "%s: postings for %s differ" what w)
+      words;
+    check_bool (what ^ ": index marshals to the same bytes") true
+      (Marshal.to_string (Index.to_portable fi) [] = Marshal.to_string (Index.to_portable si) []);
+    check_int (what ^ ": total elements") (Stats.total_elems fs) (Stats.total_elems ss);
+    List.iter
+      (fun t ->
+        if Doc.by_tag_name fd t <> Doc.by_tag_name sd t then
+          Alcotest.failf "%s: by_tag %s differs" what t;
+        check_int (Printf.sprintf "%s: #(%s)" what t) (Stats.count_tag fs t) (Stats.count_tag ss t);
+        List.iter
+          (fun t2 ->
+            if
+              Stats.count_pc fs t t2 <> Stats.count_pc ss t t2
+              || Stats.count_ad fs t t2 <> Stats.count_ad ss t t2
+            then Alcotest.failf "%s: #pc/#ad(%s,%s) differ" what t t2)
+          names)
+      names;
+    (* Wildcard estimates read the per-tag child, descendant and depth
+       totals, which no count above exposes. *)
+    List.iter
+      (fun q ->
+        let bits f = Int64.bits_of_float (f q) in
+        if
+          bits (Stats.estimate_answers fs) <> bits (Stats.estimate_answers ss)
+          || bits (Stats.estimate_matches fs) <> bits (Stats.estimate_matches ss)
+        then Alcotest.failf "%s: estimates for %s differ" what (Tpq.Xpath.to_string q))
+      estimates
+  in
+  let without ids = List.filter (fun (id, _) -> not (List.mem id ids)) docs in
+  let delete ids =
+    List.fold_left (fun corpus id -> ok_exn "remove" (Ingest.remove corpus ~id)) grown ids
+  in
+  let upsert id tree = ok_exn "upsert" (Ingest.add grown ~id tree) in
+  let all_but_last = List.filter (fun id -> id <> "d5") (List.map fst docs) in
+  check_splice "delete the first" (delete [ "d0" ]) (without [ "d0" ]);
+  check_splice "delete a middle" (delete [ "d2" ]) (without [ "d2" ]);
+  check_splice "delete the last" (delete [ "d5" ]) (without [ "d5" ]);
+  check_splice "delete the wordless" (delete [ "quiet" ]) (without [ "quiet" ]);
+  check_splice "upsert the first" (upsert "d0" (article 900))
+    (without [ "d0" ] @ [ ("d0", article 900) ]);
+  check_splice "upsert the last" (upsert "d5" (article 901))
+    (without [ "d5" ] @ [ ("d5", article 901) ]);
+  check_splice "delete all but one" (delete all_but_last) (without all_but_last);
+  check_splice "delete all" (delete (List.map fst docs)) []
+
+(* The write path's allocation, a deterministic cost gate: a delete or
+   an upsert of one document splices, so it allocates within a small
+   factor of appending that document to the same corpus, at any corpus
+   size.  A rebuild of the corpus would allocate tens of times more.
+   Words are minor + major - promoted ([Gc.counters]); each figure is
+   the median of five runs, each after a full major collection. *)
+let test_write_allocation () =
+  let words f =
+    let once () =
+      Gc.full_major ();
+      let m0, p0, j0 = Gc.counters () in
+      ignore (Sys.opaque_identity (f ()));
+      let m1, p1, j1 = Gc.counters () in
+      m1 -. m0 +. (j1 -. j0) -. (p1 -. p0)
+    in
+    let runs = List.sort Float.compare (List.init 5 (fun _ -> once ())) in
+    List.nth runs 2
+  in
+  List.iter
+    (fun n ->
+      let docs = List.init n (fun i -> (Printf.sprintf "d%d" i, article (1000 + i))) in
+      let corpus = ok_exn "of_docs" (Ingest.of_docs docs) in
+      let id = Printf.sprintf "d%d" (n / 2) in
+      let tree = List.assoc id docs in
+      let append = words (fun () -> Ingest.add corpus ~id:"probe" tree) in
+      let delete = words (fun () -> Ingest.remove corpus ~id) in
+      let upsert = words (fun () -> Ingest.add corpus ~id tree) in
+      let within what ratio limit =
+        if ratio > limit then
+          Alcotest.failf "%d documents: a %s allocated %.1fx an append's words (%.0f), limit %.0fx"
+            n what ratio append limit
+      in
+      within "delete" (delete /. append) 2.0;
+      within "upsert" (upsert /. append) 4.0)
+    [ 50; 400 ]
+
 let test_upsert_delete_equivalence () =
   let t1 = article 301 and t2 = article 302 and t3 = article 303 and t4 = article 304 in
   let corpus = ok_exn "empty" (Ingest.empty ()) in
@@ -232,7 +397,7 @@ let test_boundary_column () =
 let prop_random_ops =
   let open QCheck2.Gen in
   let gen_ops = list_size (1 -- 10) (pair (0 -- 3) (pair bool (0 -- 1000))) in
-  QCheck2.Test.make ~name:"random add/upsert/delete == offline rebuild" ~count:12 gen_ops
+  QCheck2.Test.make ~name:"random add/upsert/delete == offline rebuild" ~count:100 gen_ops
     (fun ops ->
       let ids = [| "a"; "b"; "c"; "d" |] in
       let corpus = ref (ok_exn "empty" (Ingest.empty ())) in
@@ -575,6 +740,10 @@ let () =
             test_incremental_equals_rebuild;
           Alcotest.test_case "extended index/stats internals identical" `Quick
             test_extend_internals;
+          Alcotest.test_case "spliced arena/index/stats internals identical" `Quick
+            test_splice_internals;
+          Alcotest.test_case "delete and upsert allocate within a factor of an append" `Quick
+            test_write_allocation;
           Alcotest.test_case "upsert and delete == offline rebuild" `Quick
             test_upsert_delete_equivalence;
           QCheck_alcotest.to_alcotest prop_random_ops;

@@ -1266,7 +1266,8 @@ let test_ingest_retry_idempotency () =
 (* ------------------------------------------------------------------ *)
 (* Mixed query+write chaos soak (the PR's acceptance gate): writers
    upserting and deleting under WAL/merge/worker faults, readers
-   querying throughout, for FLEXPATH_SOAK_S seconds (default 60).
+   querying throughout, for FLEXPATH_SOAK_S seconds (default 5, as in
+   CI; set it higher for a long soak).
    Nothing may be dropped or answered ERR; after quiescing, the served
    corpus must answer byte-identically to an offline rebuild of its
    own acked document set, and every certainly-acked write must be
@@ -1274,8 +1275,8 @@ let test_ingest_retry_idempotency () =
 
 let soak_seconds () =
   match Sys.getenv_opt "FLEXPATH_SOAK_S" with
-  | Some s -> ( match float_of_string_opt s with Some v when v > 0.0 -> v | _ -> 60.0)
-  | None -> 60.0
+  | Some s -> ( match float_of_string_opt s with Some v when v > 0.0 -> v | _ -> 5.0)
+  | None -> 5.0
 
 (* Node id and float bits of each answer, in rank order. *)
 let fingerprint answers =
